@@ -739,13 +739,7 @@ def run_mh_layer(
         a0, d0 = state.stats.add_accepted, state.stats.delete_accepted
         for i in range(state.N):
             cursor = _dimension_move(state, i, hyper, cfg, rng, cursor)
-        for n in range(state.N):
-            for k in range(state.K):
-                gibbs_update_weight(state, n, k, hyper, rng, cfg.gibbs_step_scale)
-        all_ts = np.arange(state.T)
-        for k in range(state.K):
-            _factor_row_update(state, k, all_ts, hyper, rng, cfg.gibbs_step_scale)
-        state.refresh()
+        gibbs_sweep(state, hyper, rng, cfg.gibbs_step_scale)
         ks[r] = state.K
         ljs[r] = state.log_joint_cached
         adds[r] = state.stats.add_accepted - a0
