@@ -374,7 +374,6 @@ def _dimension_move(
     state: ChainState,
     i: int,
     hyper: LayerHyper,
-    cfg: InferenceConfig,
     rng: np.random.Generator,
     cursor: int,
 ) -> int:
@@ -413,9 +412,10 @@ def _dimension_move(
 # -- weight kernel ------------------------------------------------------
 
 def _row_loglik(x_row: np.ndarray, s_row: np.ndarray, floor: float) -> float:
+    """Row log-likelihood without its -T/2 log(2 pi) term, which cancels in every ratio."""
     sigma = np.maximum(np.abs(s_row), floor)
     z = x_row / sigma
-    return float(-0.5 * x_row.size * model.LOG_2PI - np.log(sigma).sum() - 0.5 * (z * z).sum())
+    return float(-np.log(sigma).sum() - 0.5 * (z @ z))
 
 
 # Slab-value proposal for the spike<->slab toggle: a mixture of the
@@ -426,67 +426,13 @@ def _row_loglik(x_row: np.ndarray, s_row: np.ndarray, floor: float) -> float:
 _TOGGLE_CELLS = 21
 _TOGGLE_SPAN = 7.0
 _TOGGLE_T_WEIGHT = 0.1
-
-
-def _toggle_grid(
-    x_row: np.ndarray,
-    base_row: np.ndarray,
-    y_row: np.ndarray,
-    floor: float,
-    df: float,
-    t_scale: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cell centres and log-masses of the informed proposal component.
-
-    Discretises the slab conditional (predictive t times row likelihood)
-    into _TOGGLE_CELLS uniform cells on [-span, span] predictive scales,
-    weighting each cell by the conditional at its centre.  Returns
-    (centres, normalised log-masses, cell width).
-    """
-    half = _TOGGLE_SPAN * t_scale
-    h = 2.0 * half / _TOGGLE_CELLS
-    centers = -half + h * (np.arange(_TOGGLE_CELLS) + 0.5)
-    sigma = np.maximum(np.abs(base_row[None, :] + centers[:, None] * y_row[None, :]), floor)
-    z = x_row[None, :] / sigma
-    log_lik = -np.log(sigma).sum(axis=1) - 0.5 * (z * z).sum(axis=1)
-    zc = centers / t_scale
-    log_mass = log_lik - 0.5 * (df + 1.0) * np.log1p(zc * zc / df)
-    log_mass -= log_mass.max()
-    log_mass -= math.log(float(np.exp(log_mass).sum()))
-    return centers, log_mass, h
-
-
-def _toggle_draw(
-    centers: np.ndarray,
-    log_mass: np.ndarray,
-    h: float,
-    df: float,
-    t_scale: float,
-    rng: np.random.Generator,
-) -> float:
-    """Draw a slab value from the toggle's mixture proposal."""
-    if rng.random() < _TOGGLE_T_WEIGHT:
-        return float(model.sample_student_t(df, t_scale, rng))
-    probs = np.exp(log_mass)
-    g = int(rng.choice(len(centers), p=probs / probs.sum()))
-    return float(centers[g] + (rng.random() - 0.5) * h)
-
-
-def _toggle_logq(
-    w: float,
-    centers: np.ndarray,
-    log_mass: np.ndarray,
-    h: float,
-    df: float,
-    t_scale: float,
-) -> float:
-    """Log-density of the toggle's mixture proposal at w."""
-    q = _TOGGLE_T_WEIGHT * math.exp(model.student_t_logpdf(w, df, t_scale))
-    half = _TOGGLE_SPAN * t_scale
-    if -half <= w < half:
-        g = min(int((w + half) / h), len(centers) - 1)
-        q += (1.0 - _TOGGLE_T_WEIGHT) * math.exp(float(log_mass[g])) / h
-    return math.log(q)
+# Cell centres in cell widths from the grid's left edge, plus two slots
+# that each visit sets to w = 0 and to the current value, so that one
+# (23, T) batch prices the grid and both ends of the toggle.
+_GRID_OFFSETS = np.append(np.arange(_TOGGLE_CELLS) + 0.5, (0.0, 0.0))
+# Squared cell centres in predictive-scale units; the grid spans the
+# same [-span, span] in those units whatever the scale.
+_GRID_Z2 = ((_GRID_OFFSETS[:_TOGGLE_CELLS] * (2.0 / _TOGGLE_CELLS) - 1.0) * _TOGGLE_SPAN) ** 2
 
 
 def gibbs_update_weight(
@@ -504,82 +450,130 @@ def gibbs_update_weight(
     from the integrated inclusion probability, and a Student-t slab law
     from the integrated column variance.  Two proposals are made: a
     spike<->slab toggle whose slab values come from a likelihood-informed
-    mixture (see _toggle_grid) priced by the exact density ratio, and,
-    if the entry is active, a random-walk move on the value.  Returns
-    the entry's new effective value.
+    mixture priced by the exact density ratio, and, if the entry is
+    active, a random-walk move on the value.  Returns the entry's new
+    effective value.
+
+    The toggle's informed component discretises the slab conditional
+    (predictive t times row likelihood) into _TOGGLE_CELLS uniform cells
+    on [-span, span] predictive scales, each weighted by the conditional
+    at its centre; a slab value is drawn as a uniform point of a cell
+    picked by numpy's own ``choice`` algorithm (cumulative sum, then
+    ``searchsorted`` on one uniform), so the draws are those of
+    ``rng.choice(p=...)`` without its argument validation.
     """
     lh = hyper
-    m_minus = int(state.m[k]) - int(state.mask[n, k])
-    a = lh.alpha_ibp / state.K
-    spike_p, slab_p = model.spike_slab_predictive(m_minus, state.N, a)
-    col_active = state.mask[:, k].astype(bool)
-    sq_col = float(np.sum(state.slab[col_active, k] ** 2))
+    active = bool(state.mask[n, k])
+    m_minus = int(state.m[k]) - active
+    spike_p, slab_p = model.spike_slab_predictive(m_minus, state.N, lh.alpha_ibp / state.K)
+    # The slab is zero off the mask, so this is the column's squared-slab sum.
+    col = state.slab[:, k]
     w_cur = float(state.slab[n, k])
-    sq_minus = sq_col - (w_cur * w_cur if state.mask[n, k] else 0.0)
+    sq_minus = float(col @ col) - w_cur * w_cur
     df, t_scale = model.slab_predictive_params(m_minus, sq_minus, lh.ig_shape, lh.ig_scale)
+    t_norm = (
+        math.lgamma(0.5 * (df + 1.0))
+        - math.lgamma(0.5 * df)
+        - 0.5 * math.log(df * math.pi)
+        - math.log(t_scale)
+    )
+    t_power = 0.5 * (df + 1.0)
+
+    def t_logpdf(w: float) -> float:
+        z = w / t_scale
+        return t_norm - t_power * math.log1p(z * z / df)
 
     x_row = state.X[n]
     y_row = state.Y[k]
-    s_row = state.S[n]
-    base_row = s_row - w_cur * y_row
+    base_row = state.S[n] - w_cur * y_row
     floor = lh.sigma_floor
 
-    def loglik(w: float) -> float:
-        return _row_loglik(x_row, base_row + w * y_row, floor)
+    # Row log-likelihood at every cell centre, at w = 0 and at w_cur.
+    half = _TOGGLE_SPAN * t_scale
+    h = 2.0 * half / _TOGGLE_CELLS
+    ws = _GRID_OFFSETS * h - half
+    ws[-2] = 0.0
+    ws[-1] = w_cur
+    sigma = np.multiply.outer(ws, y_row)
+    sigma += base_row
+    np.abs(sigma, out=sigma)
+    np.maximum(sigma, floor, out=sigma)
+    z2 = x_row / sigma
+    z2 *= z2
+    ll = -np.log(sigma).sum(axis=1) - 0.5 * z2.sum(axis=1)
+    ll_zero, ll_cur = ll[-2:].tolist()
 
-    # Toggle proposal between spike and slab.
-    centers, log_mass, cell_h = _toggle_grid(x_row, base_row, y_row, floor, df, t_scale)
-    state.stats.weight_proposed += 1
-    if state.mask[n, k] == 0:
-        w_star = _toggle_draw(centers, log_mass, cell_h, df, t_scale, rng)
+    log_mass = ll[:_TOGGLE_CELLS] - t_power * np.log1p(_GRID_Z2 / df)
+    log_mass -= log_mass.max()
+    mass = np.exp(log_mass)
+    log_total = math.log(float(mass.sum()))
+
+    def toggle_logq(w: float) -> float:
+        q = _TOGGLE_T_WEIGHT * math.exp(t_logpdf(w))
+        if -half <= w < half:
+            g = min(int((w + half) / h), _TOGGLE_CELLS - 1)
+            q += (1.0 - _TOGGLE_T_WEIGHT) * math.exp(float(log_mass[g]) - log_total) / h
+        return math.log(q)
+
+    stats = state.stats
+    stats.weight_proposed += 1
+    if not active:
+        if rng.random() < _TOGGLE_T_WEIGHT:
+            w_star = float(model.sample_student_t(df, t_scale, rng))
+        else:
+            cdf = np.cumsum(mass)
+            cdf /= cdf[-1]
+            g = int(cdf.searchsorted(rng.random(), side="right"))
+            w_star = float(ws[g] + (rng.random() - 0.5) * h)
+        s_star = base_row + w_star * y_row
+        ll_star = _row_loglik(x_row, s_star, floor)
         log_r = (
             math.log(slab_p)
             - math.log(spike_p)
-            + model.student_t_logpdf(w_star, df, t_scale)
-            - _toggle_logq(w_star, centers, log_mass, cell_h, df, t_scale)
-            + loglik(w_star)
-            - loglik(0.0)
+            + t_logpdf(w_star)
+            - toggle_logq(w_star)
+            + ll_star
+            - ll_zero
         )
         if math.log(rng.random()) < log_r:
             state.mask[n, k] = 1
             state.slab[n, k] = w_star
             state.m[k] += 1
-            state.S[n] = base_row + w_star * y_row
-            state.stats.weight_accepted += 1
+            state.S[n] = s_star
+            stats.weight_accepted += 1
+            active, w_cur, ll_cur = True, w_star, ll_star
     else:
         log_r = (
             math.log(spike_p)
             - math.log(slab_p)
-            + _toggle_logq(w_cur, centers, log_mass, cell_h, df, t_scale)
-            - model.student_t_logpdf(w_cur, df, t_scale)
-            + loglik(0.0)
-            - loglik(w_cur)
+            + toggle_logq(w_cur)
+            - t_logpdf(w_cur)
+            + ll_zero
+            - ll_cur
         )
         if math.log(rng.random()) < log_r:
             state.mask[n, k] = 0
             state.slab[n, k] = 0.0
             state.m[k] -= 1
             state.S[n] = base_row
-            state.stats.weight_accepted += 1
+            stats.weight_accepted += 1
+            active = False
 
+    if not active:
+        return 0.0
     # Random walk on the active value.
-    if state.mask[n, k] == 1:
-        w = float(state.slab[n, k])
-        state.stats.weight_proposed += 1
-        w_star = w + step_scale * t_scale * rng.standard_normal()
-        if w_star != 0.0:
-            log_r = (
-                model.student_t_logpdf(w_star, df, t_scale)
-                - model.student_t_logpdf(w, df, t_scale)
-                + loglik(w_star)
-                - loglik(w)
-            )
-            if math.log(rng.random()) < log_r:
-                state.slab[n, k] = w_star
-                state.S[n] = base_row + w_star * y_row
-                state.stats.weight_accepted += 1
-
-    return float(state.mask[n, k] * state.slab[n, k])
+    stats.weight_proposed += 1
+    w_star = w_cur + step_scale * t_scale * rng.standard_normal()
+    if w_star != 0.0:
+        s_star = base_row + w_star * y_row
+        ll_star = _row_loglik(x_row, s_star, floor)
+        log_r = t_logpdf(w_star) - t_logpdf(w_cur) + ll_star - ll_cur
+        if math.log(rng.random()) < log_r:
+            state.slab[n, k] = w_star
+            state.S[n] = s_star
+            stats.weight_accepted += 1
+            w_cur = w_star
+    return w_cur
 
 
 # -- factor kernel ------------------------------------------------------
@@ -609,57 +603,127 @@ def _factor_row_update(
     instance separately composes the same kernel as an instance-by-
     instance sweep.  Each visit chains _FACTOR_SUBSTEPS random-walk
     moves.  A factor with no linked dimensions has the prior as its
-    exact conditional and is redrawn from it directly.
+    exact conditional and is redrawn from it directly.  A single
+    instance takes the same steps on Python floats (_factor_entry_update).
     """
-    lh = hyper
     rows = np.flatnonzero(state.mask[:, k])
+    if len(ts) == 1:
+        _factor_entry_update(state, k, int(ts[0]), rows, hyper.sigma_floor, rng, step_scale)
+        return
+    stats = state.stats
+    n_ts = len(ts)
     sig_prior = state.sigma_y[k, ts]
-    y_cur = state.Y[k, ts]
     if len(rows) == 0:
-        state.stats.factor_proposed += len(ts)
-        state.Y[k, ts] = sig_prior * rng.standard_normal(len(ts))
-        state.stats.factor_accepted += len(ts)
+        stats.factor_proposed += n_ts
+        state.Y[k, ts] = sig_prior * rng.standard_normal(n_ts)
+        stats.factor_accepted += n_ts
         return
 
-    w_col = state.slab[rows, k]
-    x_sub = state.X[np.ix_(rows, ts)]
-    s_sub = state.S[np.ix_(rows, ts)]
-    base = s_sub - np.outer(w_col, y_cur)
-    floor = lh.sigma_floor
+    y_cur = state.Y[k, ts]
+    w_col = state.slab[rows, k][:, None]
+    cells = (rows[:, None], ts)
+    x_sub = state.X[cells]
+    base = state.S[cells] - w_col * y_cur
+    floor = hyper.sigma_floor
 
+    # Column log-likelihood per instance, without the constant term.
     def col_loglik(y_vals: np.ndarray) -> np.ndarray:
-        sigma = np.maximum(np.abs(base + np.outer(w_col, y_vals)), floor)
-        z = x_sub / sigma
-        return -(0.5 * model.LOG_2PI) * len(rows) - np.log(sigma).sum(axis=0) - 0.5 * (z * z).sum(axis=0)
+        sigma = base + w_col * y_vals
+        np.abs(sigma, out=sigma)
+        np.maximum(sigma, floor, out=sigma)
+        z2 = x_sub / sigma
+        z2 *= z2
+        return -np.log(sigma).sum(axis=0) - 0.5 * z2.sum(axis=0)
 
     cur_ll = col_loglik(y_cur)
-    state.stats.factor_proposed += (1 + _FACTOR_SUBSTEPS) * len(ts)
+    stats.factor_proposed += (1 + _FACTOR_SUBSTEPS) * n_ts
 
     # Independence sub-step from the prior: the prior density cancels
     # against the proposal, leaving the likelihood ratio.
-    y_star = sig_prior * rng.standard_normal(len(ts))
+    y_star = sig_prior * rng.standard_normal(n_ts)
     star_ll = col_loglik(y_star)
-    accept = np.log(rng.random(len(ts))) < star_ll - cur_ll
+    accept = np.log(rng.random(n_ts)) < star_ll - cur_ll
     y_cur = np.where(accept, y_star, y_cur)
     cur_ll = np.where(accept, star_ll, cur_ll)
-    state.stats.factor_accepted += int(accept.sum())
+    stats.factor_accepted += int(np.count_nonzero(accept))
 
+    step = step_scale * sig_prior
+    cur_prior = 0.5 * (y_cur / sig_prior) ** 2
     for _ in range(_FACTOR_SUBSTEPS):
-        y_star = y_cur + step_scale * sig_prior * rng.standard_normal(len(ts))
+        y_star = y_cur + step * rng.standard_normal(n_ts)
         star_ll = col_loglik(y_star)
-        log_r = (
-            star_ll
-            - cur_ll
-            - 0.5 * (y_star / sig_prior) ** 2
-            + 0.5 * (y_cur / sig_prior) ** 2
-        )
-        accept = np.log(rng.random(len(ts))) < log_r
+        star_prior = 0.5 * (y_star / sig_prior) ** 2
+        accept = np.log(rng.random(n_ts)) < star_ll - cur_ll - star_prior + cur_prior
         y_cur = np.where(accept, y_star, y_cur)
         cur_ll = np.where(accept, star_ll, cur_ll)
-        state.stats.factor_accepted += int(accept.sum())
+        cur_prior = np.where(accept, star_prior, cur_prior)
+        stats.factor_accepted += int(np.count_nonzero(accept))
 
     state.Y[k, ts] = y_cur
-    state.S[np.ix_(rows, ts)] = base + np.outer(w_col, y_cur)
+    state.S[cells] = base + w_col * y_cur
+
+
+def _factor_entry_update(
+    state: ChainState,
+    k: int,
+    t: int,
+    rows: np.ndarray,
+    floor: float,
+    rng: np.random.Generator,
+    step_scale: float,
+) -> None:
+    """_factor_row_update for the one instance t, on Python floats.
+
+    A scalar draw consumes the generator exactly as a size-1 draw does,
+    so this takes the same steps with the same draws as the array path,
+    without numpy's per-call cost on one-element arrays.
+    """
+    stats = state.stats
+    sig = float(state.sigma_y[k, t])
+    if len(rows) == 0:
+        stats.factor_proposed += 1
+        state.Y[k, t] = sig * rng.standard_normal()
+        stats.factor_accepted += 1
+        return
+
+    y_cur = float(state.Y[k, t])
+    w_col = state.slab[rows, k].tolist()
+    base = [s - w * y_cur for s, w in zip(state.S[rows, t].tolist(), w_col)]
+    terms = list(zip(state.X[rows, t].tolist(), base, w_col))
+
+    def loglik(y: float) -> float:
+        log_sigma = 0.0
+        z2 = 0.0
+        for x, b, w in terms:
+            sigma = abs(b + w * y)
+            if sigma < floor:
+                sigma = floor
+            z = x / sigma
+            log_sigma += math.log(sigma)
+            z2 += z * z
+        return -log_sigma - 0.5 * z2
+
+    cur_ll = loglik(y_cur)
+    stats.factor_proposed += 1 + _FACTOR_SUBSTEPS
+
+    y_star = sig * rng.standard_normal()
+    star_ll = loglik(y_star)
+    if math.log(rng.random()) < star_ll - cur_ll:
+        y_cur, cur_ll = y_star, star_ll
+        stats.factor_accepted += 1
+
+    step = step_scale * sig
+    cur_prior = 0.5 * (y_cur / sig) ** 2
+    for _ in range(_FACTOR_SUBSTEPS):
+        y_star = y_cur + step * rng.standard_normal()
+        star_ll = loglik(y_star)
+        star_prior = 0.5 * (y_star / sig) ** 2
+        if math.log(rng.random()) < star_ll - cur_ll - star_prior + cur_prior:
+            y_cur, cur_ll, cur_prior = y_star, star_ll, star_prior
+            stats.factor_accepted += 1
+
+    state.Y[k, t] = y_cur
+    state.S[rows, t] = [b + w * y_cur for b, w in zip(base, w_col)]
 
 
 def gibbs_update_factor(
@@ -738,7 +802,7 @@ def run_mh_layer(
     for r in range(cfg.iterations):
         a0, d0 = state.stats.add_accepted, state.stats.delete_accepted
         for i in range(state.N):
-            cursor = _dimension_move(state, i, hyper, cfg, rng, cursor)
+            cursor = _dimension_move(state, i, hyper, rng, cursor)
         gibbs_sweep(state, hyper, rng, cfg.gibbs_step_scale)
         ks[r] = state.K
         ljs[r] = state.log_joint_cached
