@@ -32,9 +32,7 @@ from .model import (
     generate_dataset,
     log_joint,
     log_joint_terms,
-    propagate_sigma,
     sample_weight_layer,
-    spike_slab_logpdf,
 )
 from .inference import (
     ChainState,
@@ -92,7 +90,6 @@ __all__ = [
     "log_ratio_delete",
     "logprob_mask_ibp",
     "logprob_mask_marginal",
-    "propagate_sigma",
     "run_experiment",
     "run_layerwise",
     "run_mh_layer",
@@ -100,6 +97,5 @@ __all__ = [
     "sample_ibp_sequential",
     "sample_mask_finite",
     "sample_weight_layer",
-    "spike_slab_logpdf",
     "summarize",
 ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,23 +38,15 @@ class ConfigError(ValueError):
     """A config file is structurally or semantically invalid."""
 
 
-_MODEL_KEYS = frozenset({
-    "alpha_ibp_per_layer", "ig_shape_per_layer", "ig_scale_per_layer",
-    "sigma_top", "sigma_floor", "layer_widths",
-})
-_INFERENCE_KEYS = frozenset({
-    "iterations", "init_k", "gibbs_step_scale", "layerwise_outer_loops",
-    "convergence_tol", "k0_bootstrap",
-})
-_EXPERIMENT_KEYS = frozenset({
-    "n_dims", "n_instances", "k_true_values", "inits", "iterations",
-    "replicates", "burn_in", "alpha_ibp", "ig_shape", "ig_scale",
-    "sigma_top", "sigma_floor", "gibbs_step_scale",
-})
+def _field_names(cls, *exclude: str) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls)) - set(exclude)
+
+
+# Each section takes its dataclass's fields; seeds come from --seed.
 _SECTION_KEYS = {
-    "model": _MODEL_KEYS,
-    "inference": _INFERENCE_KEYS,
-    "experiment": _EXPERIMENT_KEYS,
+    "model": _field_names(HyperParams),
+    "inference": _field_names(InferenceConfig, "seed"),
+    "experiment": _field_names(ExperimentConfig, "base_seed"),
 }
 
 
@@ -167,13 +160,7 @@ def cmd_generate(args) -> int:
         "n_dims": int(X.shape[0]),
         "n_instances": int(X.shape[1]),
         "layer_widths": list(hyper.layer_widths),
-        "hyper": {
-            "alpha_ibp_per_layer": list(hyper.alpha_ibp_per_layer),
-            "ig_shape_per_layer": list(hyper.ig_shape_per_layer),
-            "ig_scale_per_layer": list(hyper.ig_scale_per_layer),
-            "sigma_top": hyper.sigma_top,
-            "sigma_floor": hyper.sigma_floor,
-        },
+        "hyper": {f.name: getattr(hyper, f.name) for f in fields(hyper) if f.name != "layer_widths"},
         "layers": layers,
     })
     print(f"wrote {X.shape[0]}x{X.shape[1]} dataset to {out / 'data.csv'} (seed {seed})")

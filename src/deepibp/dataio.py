@@ -23,7 +23,6 @@ __all__ = [
     "mask_to_rows",
     "read_dataset_csv",
     "read_json",
-    "rows_to_mask",
     "write_dataset_csv",
     "write_json",
     "write_trace_csv",
@@ -135,13 +134,6 @@ def write_trace_csv(path, trace) -> None:
 def mask_to_rows(mask: np.ndarray) -> list[str]:
     """Serialize a binary mask as one 0/1 string per row."""
     return ["".join(str(int(v)) for v in row) for row in np.asarray(mask)]
-
-
-def rows_to_mask(rows: list[str]) -> np.ndarray:
-    """Inverse of mask_to_rows."""
-    if not rows:
-        return np.zeros((0, 0), dtype=np.int8)
-    return np.array([[int(c) for c in row] for row in rows], dtype=np.int8)
 
 
 def _jsonable(obj):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -280,19 +280,7 @@ def emit_report(stats: SummaryStats, results: list[TrialResult], path, *,
         "kind": "factor-recovery-experiment",
         "version": 1,
         "config": None if cfg is None else {
-            "n_dims": cfg.n_dims,
-            "n_instances": cfg.n_instances,
-            "k_true_values": list(cfg.k_true_values),
-            "iterations": cfg.iterations,
-            "replicates": cfg.replicates,
-            "burn_in": cfg.burn_in,
-            "base_seed": cfg.base_seed,
-            "alpha_ibp": cfg.alpha_ibp,
-            "ig_shape": cfg.ig_shape,
-            "ig_scale": cfg.ig_scale,
-            "sigma_top": cfg.sigma_top,
-            "sigma_floor": cfg.sigma_floor,
-            "gibbs_step_scale": cfg.gibbs_step_scale,
+            f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "inits"
         },
         "inits": None if cfg is None else [
             {"index": i, "name": s.name, "kind": s.kind,

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln
 
 __all__ = [
     "BinaryMatrix",
@@ -24,10 +24,9 @@ __all__ = [
     "drop_zero_columns",
     "harmonic_number",
     "left_order_form",
-    "logprob_mask_given_p",
     "logprob_mask_ibp",
     "logprob_mask_marginal",
-    "new_dishes_per_customer",
+    "logprob_mask_marginal_counts",
     "sample_ibp_sequential",
     "sample_mask_finite",
 ]
@@ -64,33 +63,6 @@ def harmonic_number(n: int) -> float:
     return float(np.sum(1.0 / np.arange(1, n + 1)))
 
 
-def logprob_mask_given_p(Z: BinaryMatrix, p) -> float:
-    """Log-probability of a mask given per-column inclusion probabilities.
-
-    Entries are independent Bernoulli within each column:
-    log P = sum_k [ m_k log p_k + (N - m_k) log(1 - p_k) ].
-
-    Parameters
-    ----------
-    Z : (N, K) binary array
-    p : scalar or (K,) array of probabilities in [0, 1]
-
-    Returns
-    -------
-    float
-        May be -inf when a column with active entries has p_k = 0
-        (or an inactive entry has p_k = 1).
-    """
-    Z = as_binary_matrix(Z)
-    N, K = Z.shape
-    p = np.broadcast_to(np.asarray(p, dtype=float), (K,))
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("inclusion probabilities must lie in [0, 1]")
-    m = column_counts(Z)
-    # xlogy keeps the 0*log(0) = 0 convention for empty columns.
-    return float(np.sum(xlogy(m, p) + xlogy(N - m, 1.0 - p)))
-
-
 def logprob_mask_marginal(Z: BinaryMatrix, alpha: float) -> float:
     """Log-probability of a mask with Beta(alpha/K, 1) columns integrated out.
 
@@ -105,11 +77,20 @@ def logprob_mask_marginal(Z: BinaryMatrix, alpha: float) -> float:
     Z = as_binary_matrix(Z)
     if alpha <= 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    N, K = Z.shape
+    return logprob_mask_marginal_counts(Z.sum(axis=0, dtype=np.int64), Z.shape[0], alpha)
+
+
+def logprob_mask_marginal_counts(m: np.ndarray, N: int, alpha: float) -> float:
+    """``logprob_mask_marginal`` from the column counts ``m`` of an N-row mask.
+
+    The marginal depends on the mask only through its counts, so the
+    sampler's dimension moves price masks they never build.  No input
+    checks.
+    """
+    K = len(m)
     if K == 0:
         return 0.0
     a = alpha / K
-    m = column_counts(Z)
     per_col = (
         np.log(a)
         + gammaln(m + a)
@@ -245,19 +226,3 @@ def drop_zero_columns(Z: BinaryMatrix) -> np.ndarray:
     """Remove all-zero columns, e.g. before taking a left-ordered form."""
     Z = as_binary_matrix(Z)
     return Z[:, column_counts(Z) > 0]
-
-
-def new_dishes_per_customer(Z: BinaryMatrix) -> np.ndarray:
-    """Per-row counts of columns whose first active entry is that row.
-
-    This is the culinary counting of the same mask: entry i gives how
-    many dishes customer i sampled first.  The counts sum to K and are
-    invariant under column permutation.
-    """
-    Z = as_binary_matrix(Z)
-    if Z.shape[1] and np.any(column_counts(Z) == 0):
-        raise ValueError("mask has an all-zero column; drop it first")
-    out = np.zeros(Z.shape[0], dtype=np.int64)
-    for k in range(Z.shape[1]):
-        out[int(np.argmax(Z[:, k]))] += 1
-    return out

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import model
-from .ibp import harmonic_number
+from .ibp import harmonic_number, logprob_mask_marginal_counts
 from .model import LayerHyper, ParentContext, WeightLayer
 
 __all__ = [
@@ -65,9 +64,7 @@ class InferenceConfig:
 
     ``init_k`` is either a fixed integer or an inclusive (lo, hi) pair
     drawn uniformly at chain start.  ``gibbs_step_scale`` multiplies
-    the natural scale of each random-walk proposal.  ``k0_bootstrap``
-    replaces the reverse-proposal factor K+/K when no factor is linked,
-    letting the chain leave the empty state.
+    the natural scale of each random-walk proposal.
     """
 
     iterations: int = 200
@@ -76,7 +73,6 @@ class InferenceConfig:
     gibbs_step_scale: float = 0.5
     layerwise_outer_loops: int = 5
     convergence_tol: float = 1.0
-    k0_bootstrap: float = 1.0
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
@@ -85,8 +81,6 @@ class InferenceConfig:
             raise ValueError("gibbs_step_scale must be > 0")
         if self.layerwise_outer_loops < 1:
             raise ValueError("layerwise_outer_loops must be >= 1")
-        if self.k0_bootstrap <= 0.0:
-            raise ValueError("k0_bootstrap must be > 0")
         if isinstance(self.init_k, int):
             if self.init_k < 0:
                 raise ValueError("init_k must be >= 0")
@@ -132,6 +126,8 @@ class ChainState:
     effective weight matrix equals ``mask * slab`` equals ``slab``.
     ``S`` caches effective-weights @ Y and ``m`` the per-column link
     counts; ``log_joint_cached`` is refreshed after every full sweep.
+    Every kernel reads its hyperparameters from ``layer_hyper``, the
+    same values the log-joint is priced with.
     """
 
     X: np.ndarray
@@ -141,7 +137,6 @@ class ChainState:
     layer_hyper: LayerHyper
     parent_context: ParentContext | None = None
     stats: MoveStats = field(default_factory=MoveStats)
-    k0_bootstrap: float = 1.0
     m: np.ndarray = field(init=False)
     S: np.ndarray = field(init=False)
     sigma_y: np.ndarray = field(init=False)
@@ -236,10 +231,9 @@ class ChainState:
                 empty = np.flatnonzero(mask.sum(axis=0) == 0)
                 if empty.size == 0:
                     break
-                p = rng.random(empty.size) ** (1.0 / a)
-                s2 = 1.0 / rng.gamma(hyper.ig_shape, 1.0 / hyper.ig_scale, empty.size)
-                mask[:, empty] = (rng.random((N, empty.size)) < p).astype(np.int8)
-                slab[:, empty] = rng.standard_normal((N, empty.size)) * np.sqrt(s2)
+                _, _, mask[:, empty], slab[:, empty] = model._prior_columns(
+                    N, empty.size, a, hyper.ig_shape, hyper.ig_scale, rng
+                )
         state = cls(
             X=X,
             Y=np.zeros((k0, X.shape[1])),
@@ -264,20 +258,7 @@ class ChainState:
 
 # -- dimension moves ----------------------------------------------------
 
-def _mask_marginal_from_counts(m: np.ndarray, N: int, alpha: float) -> float:
-    """Mask marginal evaluated from column counts alone."""
-    K = len(m)
-    if K == 0:
-        return 0.0
-    a = alpha / K
-    return float(
-        np.sum(np.log(a) + gammaln(m + a) + gammaln(N - m + 1.0) - gammaln(N + 1.0 + a))
-    )
-
-
-def _log_ratio_from_small(
-    m_small: np.ndarray, k_plus_small: int, N: int, hyper: LayerHyper, bootstrap: float
-) -> float:
+def _log_ratio_from_small(m_small: np.ndarray, k_plus_small: int, N: int, alpha: float) -> float:
     """Interior log-ratio of the add move evaluated on the smaller state.
 
     Three exact pieces: the proposal structure factor
@@ -286,30 +267,27 @@ def _log_ratio_from_small(
     Poisson factor-count ratio log[rate/(K+1)].  The new factor's value
     terms cancel between proposal and target and never appear.  When no
     factor is linked (K+ = 0, which includes K = 0) the reverse factor
-    K+/K is replaced by ``bootstrap``.
+    K+/K is replaced by 1, letting the chain leave the empty state.
     """
     K = len(m_small)
-    if k_plus_small == 0:
-        structure = -math.log(K + 1.0) - math.log(bootstrap)
-    else:
-        structure = -math.log(K + 1.0) - math.log(k_plus_small / K)
+    structure = -math.log(K + 1.0)
+    if k_plus_small:
+        structure -= math.log(k_plus_small / K)
     m_large = np.append(m_small, 0)
-    delta_mask = _mask_marginal_from_counts(m_large, N, hyper.alpha_ibp) - _mask_marginal_from_counts(
-        m_small, N, hyper.alpha_ibp
+    delta_mask = logprob_mask_marginal_counts(m_large, N, alpha) - logprob_mask_marginal_counts(
+        m_small, N, alpha
     )
-    rate = hyper.alpha_ibp * harmonic_number(N)
+    rate = alpha * harmonic_number(N)
     delta_k = math.log(rate) - math.log(K + 1.0)
     return structure + delta_mask + delta_k
 
 
-def log_ratio_add(state: ChainState, hyper: LayerHyper) -> float:
+def log_ratio_add(state: ChainState) -> float:
     """Unclamped interior log-ratio for adding one empty factor."""
-    return _log_ratio_from_small(
-        state.m, state.K_plus, state.N, hyper, state.k0_bootstrap
-    )
+    return _log_ratio_from_small(state.m, state.K_plus, state.N, state.layer_hyper.alpha_ibp)
 
 
-def log_ratio_delete(state: ChainState, k: int, hyper: LayerHyper) -> float:
+def log_ratio_delete(state: ChainState, k: int) -> float:
     """Unclamped interior log-ratio for deleting unlinked factor ``k``.
 
     Exactly the negation of the add ratio evaluated on the state with
@@ -321,19 +299,19 @@ def log_ratio_delete(state: ChainState, k: int, hyper: LayerHyper) -> float:
         raise ValueError(f"factor {k} has {state.m[k]} links; only unlinked factors can be deleted")
     m_small = np.delete(state.m, k)
     return -_log_ratio_from_small(
-        m_small, int(np.count_nonzero(m_small)), state.N, hyper, state.k0_bootstrap
+        m_small, int(np.count_nonzero(m_small)), state.N, state.layer_hyper.alpha_ibp
     )
 
 
-def accept_prob_add(state: ChainState, hyper: LayerHyper) -> float:
+def accept_prob_add(state: ChainState) -> float:
     """Min-clamped acceptance probability of the add move."""
-    log_r = log_ratio_add(state, hyper)
+    log_r = log_ratio_add(state)
     return 1.0 if log_r >= 0.0 else math.exp(log_r)
 
 
-def accept_prob_delete(state: ChainState, k: int, hyper: LayerHyper) -> float:
+def accept_prob_delete(state: ChainState, k: int) -> float:
     """Min-clamped acceptance probability of deleting unlinked factor ``k``."""
-    log_r = log_ratio_delete(state, k, hyper)
+    log_r = log_ratio_delete(state, k)
     return 1.0 if log_r >= 0.0 else math.exp(log_r)
 
 
@@ -373,7 +351,6 @@ def prune_empty_factors(state: ChainState) -> ChainState:
 def _dimension_move(
     state: ChainState,
     i: int,
-    hyper: LayerHyper,
     rng: np.random.Generator,
     cursor: int,
 ) -> int:
@@ -398,12 +375,12 @@ def _dimension_move(
 
     if propose_delete is None:
         state.stats.add_proposed += 1
-        if rng.random() < accept_prob_add(state, hyper):
+        if rng.random() < accept_prob_add(state):
             _apply_add(state, rng)
             state.stats.add_accepted += 1
     else:
         state.stats.delete_proposed += 1
-        if rng.random() < accept_prob_delete(state, propose_delete, hyper):
+        if rng.random() < accept_prob_delete(state, propose_delete):
             _apply_delete(state, propose_delete)
             state.stats.delete_accepted += 1
     return cursor
@@ -439,7 +416,6 @@ def gibbs_update_weight(
     state: ChainState,
     n: int,
     k: int,
-    hyper: LayerHyper,
     rng: np.random.Generator,
     step_scale: float = 0.5,
 ) -> float:
@@ -462,7 +438,7 @@ def gibbs_update_weight(
     ``searchsorted`` on one uniform), so the draws are those of
     ``rng.choice(p=...)`` without its argument validation.
     """
-    lh = hyper
+    lh = state.layer_hyper
     active = bool(state.mask[n, k])
     m_minus = int(state.m[k]) - active
     spike_p, slab_p = model.spike_slab_predictive(m_minus, state.N, lh.alpha_ibp / state.K)
@@ -592,7 +568,6 @@ def _factor_row_update(
     state: ChainState,
     k: int,
     ts: np.ndarray,
-    hyper: LayerHyper,
     rng: np.random.Generator,
     step_scale: float,
 ) -> None:
@@ -607,8 +582,9 @@ def _factor_row_update(
     instance takes the same steps on Python floats (_factor_entry_update).
     """
     rows = np.flatnonzero(state.mask[:, k])
+    floor = state.layer_hyper.sigma_floor
     if len(ts) == 1:
-        _factor_entry_update(state, k, int(ts[0]), rows, hyper.sigma_floor, rng, step_scale)
+        _factor_entry_update(state, k, int(ts[0]), rows, floor, rng, step_scale)
         return
     stats = state.stats
     n_ts = len(ts)
@@ -624,7 +600,6 @@ def _factor_row_update(
     cells = (rows[:, None], ts)
     x_sub = state.X[cells]
     base = state.S[cells] - w_col * y_cur
-    floor = hyper.sigma_floor
 
     # Column log-likelihood per instance, without the constant term.
     def col_loglik(y_vals: np.ndarray) -> np.ndarray:
@@ -730,7 +705,6 @@ def gibbs_update_factor(
     state: ChainState,
     k: int,
     t: int,
-    hyper: LayerHyper,
     rng: np.random.Generator,
     step_scale: float = 0.5,
 ) -> float:
@@ -743,7 +717,7 @@ def gibbs_update_factor(
     """
     if not (0 <= k < state.K and 0 <= t < state.T):
         raise IndexError(f"factor entry ({k}, {t}) out of range")
-    _factor_row_update(state, k, np.array([t]), hyper, rng, step_scale)
+    _factor_row_update(state, k, np.array([t]), rng, step_scale)
     return float(state.Y[k, t])
 
 
@@ -751,17 +725,16 @@ def gibbs_update_factor(
 
 def gibbs_sweep(
     state: ChainState,
-    hyper: LayerHyper,
     rng: np.random.Generator,
     step_scale: float = 0.5,
 ) -> None:
     """One fixed-dimension sweep: all weights row-major, then all factors."""
     for n in range(state.N):
         for k in range(state.K):
-            gibbs_update_weight(state, n, k, hyper, rng, step_scale)
+            gibbs_update_weight(state, n, k, rng, step_scale)
     all_ts = np.arange(state.T)
     for k in range(state.K):
-        _factor_row_update(state, k, all_ts, hyper, rng, step_scale)
+        _factor_row_update(state, k, all_ts, rng, step_scale)
     state.refresh()
 
 
@@ -785,7 +758,9 @@ def run_mh_layer(
     Per iteration, each data row proposes one dimension move against
     the cycling column cursor, then every weight and factor entry is
     resampled.  The trace records K, the refreshed log-joint and the
-    per-iteration accepted add/delete counts.
+    per-iteration accepted add/delete counts.  ``hyper`` seeds a chain
+    drawn from the prior; a chain resumed from ``initial_state`` keeps
+    that state's ``layer_hyper``.
     """
     X = model.as_factor_matrix(X)
     if rng is None:
@@ -793,7 +768,6 @@ def run_mh_layer(
     state = initial_state
     if state is None:
         state = ChainState.from_prior(X, cfg, hyper, parent_context, rng)
-    state.k0_bootstrap = cfg.k0_bootstrap
     cursor = 0
     ks = np.zeros(cfg.iterations, dtype=np.int64)
     ljs = np.zeros(cfg.iterations)
@@ -802,8 +776,8 @@ def run_mh_layer(
     for r in range(cfg.iterations):
         a0, d0 = state.stats.add_accepted, state.stats.delete_accepted
         for i in range(state.N):
-            cursor = _dimension_move(state, i, hyper, rng, cursor)
-        gibbs_sweep(state, hyper, rng, cfg.gibbs_step_scale)
+            cursor = _dimension_move(state, i, rng, cursor)
+        gibbs_sweep(state, rng, cfg.gibbs_step_scale)
         ks[r] = state.K
         ljs[r] = state.log_joint_cached
         adds[r] = state.stats.add_accepted - a0
@@ -812,7 +786,7 @@ def run_mh_layer(
     return state, trace, state.stats
 
 
-def _layerwise_total(states: list[ChainState], X: np.ndarray, hyper: model.HyperParams) -> float:
+def _layerwise_total(states: list[ChainState], X: np.ndarray) -> float:
     """Joint log-probability of the whole stack without double counting.
 
     Each layer's likelihood term prices the factors below it, so the
@@ -821,7 +795,7 @@ def _layerwise_total(states: list[ChainState], X: np.ndarray, hyper: model.Hyper
     total = 0.0
     data = X
     for ell, st in enumerate(states):
-        terms = model.log_joint_terms(data, st, hyper.layer(ell))
+        terms = model.log_joint_terms(data, st, st.layer_hyper)
         total += terms.log_lik + terms.log_mask_prior + terms.log_slab_prior + terms.log_k_prior
         if ell == len(states) - 1:
             total += terms.log_y_prior
@@ -845,6 +819,8 @@ def run_layerwise(
     improves by less than ``cfg.convergence_tol``.  With depth 1 this
     is exactly one run_mh_layer call.
 
+    Layer ``ell`` uses ``hyper.layer(ell)``; layers above the configured
+    ones reuse the top configured layer's values.
     ``trace_sink(outer, layer, trace)``, when given, receives every
     per-chain trace.
 
@@ -858,19 +834,6 @@ def run_layerwise(
         if trace_sink is not None:
             trace_sink(0, 0, trace)
         return [state]
-    if hyper.num_layers < depth:
-        widths = hyper.layer_widths + (hyper.layer_widths[-1],) * (depth - hyper.num_layers)
-        alphas = hyper.alpha_ibp_per_layer + (hyper.alpha_ibp_per_layer[-1],) * (depth - hyper.num_layers)
-        shapes = hyper.ig_shape_per_layer + (hyper.ig_shape_per_layer[-1],) * (depth - hyper.num_layers)
-        scales = hyper.ig_scale_per_layer + (hyper.ig_scale_per_layer[-1],) * (depth - hyper.num_layers)
-        hyper = model.HyperParams(
-            alpha_ibp_per_layer=alphas,
-            ig_shape_per_layer=shapes,
-            ig_scale_per_layer=scales,
-            sigma_top=hyper.sigma_top,
-            sigma_floor=hyper.sigma_floor,
-            layer_widths=widths,
-        )
     states: list[ChainState | None] = [None] * depth
     base = cfg.seed if cfg.seed is not None else 0
     prev_total = -math.inf
@@ -888,12 +851,13 @@ def run_layerwise(
             else:
                 warm = None
             state, trace, _ = run_mh_layer(
-                data, cfg, hyper.layer(ell), parent, rng=rng, initial_state=warm
+                data, cfg, hyper.layer(min(ell, hyper.num_layers - 1)), parent,
+                rng=rng, initial_state=warm,
             )
             states[ell] = state
             if trace_sink is not None:
                 trace_sink(outer, ell, trace)
-        total = _layerwise_total(states, X, hyper)
+        total = _layerwise_total(states, X)
         if outer > 0 and total - prev_total < cfg.convergence_tol:
             break
         prev_total = total

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -31,7 +30,6 @@ __all__ = [
     "JointTerms",
     "LayerHyper",
     "ParentContext",
-    "SpikeSlabTerm",
     "WeightLayer",
     "as_factor_matrix",
     "gaussian_loglik",
@@ -39,12 +37,9 @@ __all__ = [
     "log_joint",
     "log_joint_terms",
     "log_poisson_k",
-    "propagate_sigma",
     "propagate_sigma_matrix",
-    "sample_factor_column",
     "sample_weight_layer",
     "slab_column_logmarginal",
-    "spike_slab_logpdf",
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -238,78 +233,30 @@ class GenerativeModel:
         return cls(hyper=hyper, layers=list(reversed(layers_bottom_up)))
 
 
-class SpikeSlabTerm(NamedTuple):
-    """Tagged value so point masses are never mistaken for log-densities.
-
-    ``kind`` is "point_mass" (value in [0, 1], natural units) when the
-    weight sits exactly at zero, else "log_density".
-    """
-
-    kind: str
-    value: float
-
-
-def spike_slab_logpdf(w: float, p: float, sigma2: float) -> SpikeSlabTerm:
-    """Evaluate the mixed spike-and-slab law at a single weight value.
-
-    The law places probability 1 - p on exactly zero and p times a
-    N(0, sigma2) density elsewhere.
-
-    Returns
-    -------
-    SpikeSlabTerm
-        ("point_mass", 1 - p) for w == 0, otherwise
-        ("log_density", log p - 0.5 log(2 pi sigma2) - w^2 / (2 sigma2)).
-    """
-    if not math.isfinite(w):
-        raise ValueError(f"weight must be finite, got {w}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"inclusion probability must be in [0, 1], got {p}")
-    if not sigma2 > 0.0:
-        raise ValueError(f"slab variance must be > 0, got {sigma2}")
-    if w == 0.0:
-        return SpikeSlabTerm("point_mass", 1.0 - p)
-    log_density = math.log(p) - 0.5 * (LOG_2PI + math.log(sigma2)) - w * w / (2.0 * sigma2) if p > 0.0 else -math.inf
-    return SpikeSlabTerm("log_density", log_density)
-
-
-def propagate_sigma(weight_row, parent_factors, sigma_floor: float) -> float:
-    """Standard deviation routed to one child entry for one instance.
-
-    Computes max(|weight_row . parent_factors|, sigma_floor); empty
-    vectors contribute a zero sum so the floor engages.
-    """
-    w = np.asarray(weight_row, dtype=float).ravel()
-    y = np.asarray(parent_factors, dtype=float).ravel()
-    if w.shape != y.shape:
-        raise ValueError(f"length mismatch: weights {w.shape[0]} vs factors {y.shape[0]}")
-    if not sigma_floor > 0.0:
-        raise ValueError("sigma_floor must be > 0")
-    return max(abs(float(w @ y)) if w.size else 0.0, sigma_floor)
-
-
 def propagate_sigma_matrix(weights: np.ndarray, factors: np.ndarray, sigma_floor: float) -> np.ndarray:
     """Vectorised variance routing: max(|W @ Y|, sigma_floor), shape (N, T)."""
     return np.maximum(np.abs(weights @ factors), sigma_floor)
 
 
-def sample_factor_column(
-    parent_weights: WeightLayer,
-    parent_factors,
+def _prior_columns(
+    n_rows: int,
+    n_cols: int,
+    a: float,
+    ig_shape: float,
+    ig_scale: float,
     rng: np.random.Generator,
-    sigma_floor: float = 1e-6,
-) -> np.ndarray:
-    """Draw one instance's child factors given the layer above.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``n_cols`` columns of the finite prior with Beta(a, 1) inclusion.
 
-    Child entry j is N(0, sigma_j^2) with sigma_j routed through row j
-    of the parent's effective weights.
+    Returns (p, sigma^2, mask, slab), drawn in that order: p by inverse
+    CDF (U^(1/a)), sigma^2 ~ InverseGamma(ig_shape, ig_scale), mask
+    entries Bernoulli(p) and slab entries N(0, sigma^2).
     """
-    y = np.asarray(parent_factors, dtype=float).ravel()
-    W = parent_weights.weights
-    if W.shape[1] != y.shape[0]:
-        raise ValueError(f"parent weights have {W.shape[1]} columns but {y.shape[0]} factors given")
-    sigma = np.maximum(np.abs(W @ y), sigma_floor) if W.shape[1] else np.full(W.shape[0], sigma_floor)
-    return sigma * rng.standard_normal(W.shape[0])
+    p = rng.random(n_cols) ** (1.0 / a)
+    sigma2 = 1.0 / rng.gamma(shape=ig_shape, scale=1.0 / ig_scale, size=n_cols)
+    mask = (rng.random((n_rows, n_cols)) < p).astype(np.int8)
+    slab = rng.standard_normal((n_rows, n_cols)) * np.sqrt(sigma2)
+    return p, sigma2, mask, slab
 
 
 def sample_weight_layer(
@@ -335,11 +282,9 @@ def sample_weight_layer(
         empty = np.zeros((n_rows, 0))
         return WeightLayer(mask=empty.astype(np.int8), slab=empty,
                            p_col=np.zeros(0), sigma2_col=np.zeros(0))
-    a = alpha_ibp / n_cols
-    p_col = rng.random(n_cols) ** (1.0 / a)
-    sigma2_col = 1.0 / rng.gamma(shape=ig_shape, scale=1.0 / ig_scale, size=n_cols)
-    mask = (rng.random((n_rows, n_cols)) < p_col).astype(np.int8)
-    slab = rng.standard_normal((n_rows, n_cols)) * np.sqrt(sigma2_col)
+    p_col, sigma2_col, mask, slab = _prior_columns(
+        n_rows, n_cols, alpha_ibp / n_cols, ig_shape, ig_scale, rng
+    )
     return WeightLayer(mask=mask, slab=slab, p_col=p_col, sigma2_col=sigma2_col)
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammainccinv
 
 from . import ibp, model
 
@@ -120,8 +120,9 @@ def _sigma_axis_logintegral(sq_sum: float, count: int, ig_shape: float, ig_scale
     """
     a_post = ig_shape + 0.5 * count
     b_post = ig_scale + 0.5 * sq_sum
-    lo = stats.invgamma.ppf(1e-10, a_post, scale=b_post) / 50.0
-    hi = stats.invgamma.ppf(1.0 - 1e-10, a_post, scale=b_post) * 50.0
+    # Inverse-gamma quantiles: b / Q^-1(a, q), Q the regularised upper gamma.
+    lo = 1.0 / gammainccinv(a_post, 1e-10) * b_post / 50.0
+    hi = 1.0 / gammainccinv(a_post, 1.0 - 1e-10) * b_post * 50.0
     u = np.linspace(math.log(lo), math.log(hi), num_points)
     s2 = np.exp(u)
     log_f = (
@@ -241,7 +242,8 @@ def frozen_kernel_state(seed: int = 7):
     to a larger one: its conditional then keeps visible mass on the
     spike, which makes the kernel checks exercise the toggle in both
     directions rather than only the value moves.  The factors and data
-    are drawn once from the given seed.  Returns (state, hyper).
+    are drawn once from the given seed.  The state's ``layer_hyper``
+    holds the hyperparameters.
     """
     from .inference import ChainState
     from .model import LayerHyper
@@ -253,8 +255,36 @@ def frozen_kernel_state(seed: int = 7):
     Y = rng.standard_normal((2, 10))
     sigma = np.maximum(np.abs((mask * slab) @ Y), hyper.sigma_floor)
     X = sigma * rng.standard_normal(sigma.shape)
-    state = ChainState(X=X, Y=Y, mask=mask, slab=slab, layer_hyper=hyper)
-    return state, hyper
+    return ChainState(X=X, Y=Y, mask=mask, slab=slab, layer_hyper=hyper)
+
+
+def _grid_tv(draws: np.ndarray, grid: np.ndarray, log_d: np.ndarray, log_atom: float,
+             n_bins: int) -> float:
+    """Total variation between kernel draws and a law given on a grid.
+
+    The law is an atom at zero with unnormalised log-mass ``log_atom``
+    (-inf for none) plus a continuous part with log-density ``log_d`` on
+    ``grid``, integrated by the trapezoid rule.  The comparison uses
+    ``n_bins`` equal bins over the grid's span, the atom, and the mass
+    outside the span (zero under the law).
+    """
+    shift = max(float(log_d.max()), log_atom)
+    dens = np.exp(log_d - shift)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+    atom_unnorm = math.exp(log_atom - shift)
+    Z = atom_unnorm + cum[-1]
+    edges = np.linspace(grid[0], grid[-1], n_bins + 1)
+    bin_mass = np.diff(np.interp(edges, grid, cum)) / Z
+    atom_mass = atom_unnorm / Z
+
+    kept = len(draws)
+    atom_hat = float(np.mean(draws == 0.0))
+    nonatom = draws[draws != 0.0]
+    counts, _ = np.histogram(nonatom, bins=edges)
+    freq = counts / kept
+    out_hat = (len(nonatom) - counts.sum()) / kept
+    tv = 0.5 * (abs(atom_hat - atom_mass) + out_hat + np.abs(freq - bin_mass).sum())
+    return float(tv)
 
 
 def weight_kernel_tv(kept: int = 100_000, thin: int = 5, n_bins: int = 24,
@@ -267,9 +297,9 @@ def weight_kernel_tv(kept: int = 100_000, thin: int = 5, n_bins: int = 24,
     grid-integrated conditional law.
     """
     from .inference import gibbs_update_weight
-    from . import model
 
-    state, hyper = frozen_kernel_state()
+    state = frozen_kernel_state()
+    hyper = state.layer_hyper
     n0, k0 = 0, 0
     m_minus = int(state.m[k0]) - int(state.mask[n0, k0])
     a = hyper.alpha_ibp / state.K
@@ -297,79 +327,51 @@ def weight_kernel_tv(kept: int = 100_000, thin: int = 5, n_bins: int = 24,
         - lik0
     )
     log_atom = math.log(spike_p)  # lik(0) - lik0 == 0
-    shift = max(float(log_d.max()), log_atom)
-    dens = np.exp(log_d - shift)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-    atom_unnorm = math.exp(log_atom - shift)
-    Z = atom_unnorm + cum[-1]
-    edges = np.linspace(-L, L, n_bins + 1)
-    cdf_at = np.interp(edges, grid, cum)
-    bin_mass = np.diff(cdf_at) / Z
-    atom_mass = atom_unnorm / Z
-    out_mass = 0.0
 
     rng = np.random.default_rng(seed)
     draws = np.empty(kept)
     for j in range(kept):
         for _ in range(thin):
-            gibbs_update_weight(state, n0, k0, hyper, rng, step_scale=0.5)
+            gibbs_update_weight(state, n0, k0, rng, step_scale=0.5)
         draws[j] = state.mask[n0, k0] * state.slab[n0, k0]
-
-    atom_hat = float(np.mean(draws == 0.0))
-    nonatom = draws[draws != 0.0]
-    counts, _ = np.histogram(nonatom, bins=edges)
-    freq = counts / kept
-    out_hat = (len(nonatom) - counts.sum()) / kept
-    tv = 0.5 * (abs(atom_hat - atom_mass) + abs(out_hat - out_mass) + np.abs(freq - bin_mass).sum())
-    return float(tv)
+    return _grid_tv(draws, grid, log_d, log_atom, n_bins)
 
 
 def factor_kernel_tv(kept: int = 100_000, thin: int = 5, n_bins: int = 24,
                      seed: int = 2025) -> float:
     """Total variation between the factor kernel's samples and its target.
 
-    Same protocol as the weight check, for factor entry (0, 0).
+    Same protocol as the weight check, for factor entry (0, 0), whose
+    conditional law has no atom.
     """
     from .inference import gibbs_update_factor
-    from . import model
 
-    state, hyper = frozen_kernel_state()
+    state = frozen_kernel_state()
     k0, t0 = 0, 0
     rows = np.flatnonzero(state.mask[:, k0])
     w_col = state.slab[rows, k0].copy()
     x_col = state.X[rows, t0].copy()
     base = state.S[rows, t0] - w_col * state.Y[k0, t0]
     sig_prior = float(state.sigma_y[k0, t0])
+    floor = state.layer_hyper.sigma_floor
 
     def logtarget(y):
         y = np.atleast_1d(y)
-        s = np.maximum(np.abs(base[None, :] + np.outer(y, w_col)), hyper.sigma_floor)
+        s = np.maximum(np.abs(base[None, :] + np.outer(y, w_col)), floor)
         z = x_col[None, :] / s
         lik = -0.5 * len(rows) * model.LOG_2PI - np.log(s).sum(axis=1) - 0.5 * (z * z).sum(axis=1)
         return lik - 0.5 * (y / sig_prior) ** 2
 
     L = 12.0 * sig_prior
     grid = np.linspace(-L, L, 40001)
-    log_d = logtarget(grid)
-    log_d -= log_d.max()
-    dens = np.exp(log_d)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-    Z = cum[-1]
-    edges = np.linspace(-L, L, n_bins + 1)
-    bin_mass = np.diff(np.interp(edges, grid, cum)) / Z
 
     rng = np.random.default_rng(seed)
     draws = np.empty(kept)
     for j in range(kept):
         for _ in range(thin):
-            gibbs_update_factor(state, k0, t0, hyper, rng, step_scale=0.5)
+            gibbs_update_factor(state, k0, t0, rng, step_scale=0.5)
         draws[j] = state.Y[k0, t0]
-
-    counts, _ = np.histogram(draws, bins=edges)
-    freq = counts / kept
-    out_hat = (kept - counts.sum()) / kept
-    tv = 0.5 * (out_hat + np.abs(freq - bin_mass).sum())
-    return float(tv)
+    return _grid_tv(draws, grid, logtarget(grid), -math.inf, n_bins)
 
 
 def ibp_sampler_max_z(num_draws: int, seed: int, min_expected: float = 10.0,
@@ -470,7 +472,7 @@ def geweke_moment_zs(
     state = ChainState(X=X, Y=Y, mask=layer.mask, slab=layer.slab, layer_hyper=hyper)
     chain = np.empty((n_sweeps, 4))
     for i in range(n_sweeps):
-        gibbs_sweep(state, hyper, rng)
+        gibbs_sweep(state, rng)
         resample_data(state, rng)
         chain[i] = _geweke_stats(state.mask * state.slab, state.Y)
     chain = chain[burn_in:]

@@ -237,8 +237,8 @@ def test_criterion_8_add_delete_reciprocity():
             slab=grown_slab, layer_hyper=hyper, parent_context=parent,
         )
 
-        r_add = log_ratio_add(small, hyper)
-        r_del = log_ratio_delete(large, large.K - 1, hyper)
+        r_add = log_ratio_add(small)
+        r_del = log_ratio_delete(large, large.K - 1)
         worst_recip = max(worst_recip, abs(r_add + r_del))
 
         if small.K_plus == 0:

@@ -12,7 +12,6 @@ from deepibp.dataio import (
     mask_to_rows,
     read_dataset_csv,
     read_json,
-    rows_to_mask,
     write_dataset_csv,
     write_json,
     write_trace_csv,
@@ -97,8 +96,6 @@ def test_mask_rows_round_trip():
     mask = np.array([[1, 0, 1], [0, 0, 0]], dtype=np.int8)
     rows = mask_to_rows(mask)
     assert rows == ["101", "000"]
-    np.testing.assert_array_equal(rows_to_mask(rows), mask)
-    assert rows_to_mask([]).shape == (0, 0)
 
 
 def test_json_round_trip(tmp_path):

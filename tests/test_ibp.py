@@ -38,32 +38,6 @@ def test_harmonic_number_hand_values():
         ibp.harmonic_number(-1)
 
 
-def test_logprob_mask_given_p_hand_values():
-    # Two misses at p = 0.5 in a 2x1 mask.
-    assert abs(ibp.logprob_mask_given_p(np.zeros((2, 1)), [0.5]) - math.log(0.25)) < 1e-12
-    # Certain inclusion actually included costs nothing.
-    assert ibp.logprob_mask_given_p(np.ones((3, 2)), [1.0, 1.0]) == 0.0
-
-
-def test_logprob_mask_given_p_matches_entrywise_product():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        N, K = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        Z = (rng.random((N, K)) < 0.5).astype(np.int8)
-        p = rng.uniform(0.05, 0.95, K)
-        naive = sum(
-            math.log(p[k]) if Z[n, k] else math.log(1.0 - p[k])
-            for n in range(N)
-            for k in range(K)
-        )
-        assert abs(ibp.logprob_mask_given_p(Z, p) - naive) < 1e-12
-
-
-def test_logprob_mask_given_p_rejects_bad_probabilities():
-    with pytest.raises(ValueError):
-        ibp.logprob_mask_given_p(np.zeros((2, 1)), [1.5])
-
-
 def test_mask_marginal_two_by_one_hand_table():
     # N=2, K=1, alpha=1: the four masks carry 1/3, 1/6, 1/6, 1/3.
     Z_by_count = {
@@ -212,13 +186,6 @@ def test_finite_law_approaches_process_law_in_left_ordered_form():
 def test_drop_zero_columns():
     Z = np.array([[1, 0, 0], [0, 0, 1]], dtype=np.int8)
     np.testing.assert_array_equal(ibp.drop_zero_columns(Z), [[1, 0], [0, 1]])
-
-
-def test_new_dishes_per_customer_counts():
-    Z = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 0]], dtype=np.int8)
-    counts = ibp.new_dishes_per_customer(Z)
-    np.testing.assert_array_equal(counts, [2, 1, 0])
-    assert counts.sum() == Z.shape[1]
 
 
 def test_column_counts_matches_sum():

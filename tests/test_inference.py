@@ -49,8 +49,6 @@ def test_inference_config_validation():
         InferenceConfig(init_k=(5, 2))
     with pytest.raises(ValueError):
         InferenceConfig(init_k=-1)
-    with pytest.raises(ValueError):
-        InferenceConfig(k0_bootstrap=0.0)
 
 
 def test_inference_config_init_draw():
@@ -98,7 +96,7 @@ def test_caches_stay_consistent_across_sweeps():
     rng = np.random.default_rng(4)
     state = _random_state(rng)
     for _ in range(5):
-        gibbs_sweep(state, HYPER, rng)
+        gibbs_sweep(state, rng)
     state.check_consistency()
 
 
@@ -140,7 +138,7 @@ def test_chain_trace_concatenate():
 def test_add_delete_ratios_are_reciprocal():
     rng = np.random.default_rng(6)
     state = _random_state(rng)
-    r_add = log_ratio_add(state, HYPER)
+    r_add = log_ratio_add(state)
     grown = ChainState(
         X=state.X,
         Y=np.vstack([state.Y, rng.standard_normal(state.T)]),
@@ -148,7 +146,7 @@ def test_add_delete_ratios_are_reciprocal():
         slab=np.hstack([state.slab, np.zeros((state.N, 1))]),
         layer_hyper=state.layer_hyper,
     )
-    r_del = log_ratio_delete(grown, grown.K - 1, HYPER)
+    r_del = log_ratio_delete(grown, grown.K - 1)
     assert abs(r_add + r_del) < 1e-12
 
 
@@ -157,9 +155,9 @@ def test_delete_requires_unlinked_column():
     state = _random_state(rng, allow_empty_columns=False)
     linked = int(np.flatnonzero(state.m > 0)[0])
     with pytest.raises(ValueError):
-        log_ratio_delete(state, linked, HYPER)
+        log_ratio_delete(state, linked)
     with pytest.raises(IndexError):
-        log_ratio_delete(state, state.K, HYPER)
+        log_ratio_delete(state, state.K)
 
 
 def test_acceptance_probabilities_clamped_and_consistent():
@@ -172,15 +170,15 @@ def test_acceptance_probabilities_clamped_and_consistent():
             sigma_top=1.0, sigma_floor=1e-6,
         )
         state = _random_state(rng, N=N, K=K, T=4, hyper=hyper)
-        p = accept_prob_add(state, hyper)
+        p = accept_prob_add(state)
         assert 0.0 <= p <= 1.0
-        r = log_ratio_add(state, hyper)
+        r = log_ratio_add(state)
         if r >= 0.0:
             assert p == 1.0
         else:
             assert abs(p - math.exp(r)) < 1e-15
         for k in np.flatnonzero(state.m == 0):
-            q = accept_prob_delete(state, int(k), hyper)
+            q = accept_prob_delete(state, int(k))
             assert 0.0 <= q <= 1.0
 
 
@@ -188,7 +186,7 @@ def test_add_ratio_vanishes_with_tiny_concentration():
     rng = np.random.default_rng(9)
     hyper = LayerHyper(alpha_ibp=1e-9, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-6)
     state = _random_state(rng, hyper=hyper)
-    assert accept_prob_add(state, hyper) < 1e-6
+    assert accept_prob_add(state) < 1e-6
 
 
 def test_empty_state_add_uses_bootstrap():
@@ -199,12 +197,15 @@ def test_empty_state_add_uses_bootstrap():
         mask=np.zeros((3, 0), dtype=np.int8), slab=np.zeros((3, 0)),
         layer_hyper=hyper,
     )
-    r = log_ratio_add(state, hyper)
-    assert math.isfinite(r)
-    # The bootstrap stands in for the reverse factor K+/K, so doubling
-    # it lowers the ratio by exactly log 2.
-    state.k0_bootstrap = 2.0
-    assert abs(log_ratio_add(state, hyper) - (r - math.log(2.0))) < 1e-12
+    # With no factor linked, 1 stands in for the reverse factor K+/K;
+    # from K = 0 the structure factor 1/(K+1) is 1 as well, leaving the
+    # one-column mask marginal at a = alpha and the Poisson ratio.
+    N, alpha = 3, 2.0
+    expect = (
+        math.log(alpha) + math.lgamma(alpha) + math.lgamma(N + 1.0) - math.lgamma(N + 1.0 + alpha)
+        + math.log(alpha * (1.0 + 1.0 / 2.0 + 1.0 / 3.0))
+    )
+    assert abs(log_ratio_add(state) - expect) < 1e-12
 
 
 def test_prune_empty_factors_behavior():
@@ -234,7 +235,7 @@ def test_weight_update_returns_effective_value():
     state = _random_state(rng)
     for n in range(state.N):
         for k in range(state.K):
-            value = gibbs_update_weight(state, n, k, HYPER, rng)
+            value = gibbs_update_weight(state, n, k, rng)
             assert value == state.mask[n, k] * state.slab[n, k]
             if state.mask[n, k] == 0:
                 assert state.slab[n, k] == 0.0
@@ -256,7 +257,7 @@ def test_weight_toggle_matches_prior_predictive_without_data():
     rng = np.random.default_rng(31)
     hits = kept = 0
     for i in range(60_000):
-        gibbs_update_weight(state, 0, 0, hyper, rng)
+        gibbs_update_weight(state, 0, 0, rng)
         if i % 10 == 9:
             hits += int(state.mask[0, 0])
             kept += 1
@@ -271,9 +272,9 @@ def test_factor_update_bounds_check():
     rng = np.random.default_rng(13)
     state = _random_state(rng)
     with pytest.raises(IndexError):
-        gibbs_update_factor(state, state.K, 0, HYPER, rng)
+        gibbs_update_factor(state, state.K, 0, rng)
     with pytest.raises(IndexError):
-        gibbs_update_factor(state, 0, state.T, HYPER, rng)
+        gibbs_update_factor(state, 0, state.T, rng)
 
 
 def test_unlinked_factor_redrawn_from_prior():
@@ -284,7 +285,7 @@ def test_unlinked_factor_redrawn_from_prior():
         X=rng.standard_normal((3, 6)), Y=rng.standard_normal((2, 6)),
         mask=mask, slab=slab, layer_hyper=HYPER,
     )
-    draws = np.array([gibbs_update_factor(state, 1, 2, HYPER, rng) for _ in range(20_000)])
+    draws = np.array([gibbs_update_factor(state, 1, 2, rng) for _ in range(20_000)])
     assert abs(draws.mean()) < 3.0 / math.sqrt(draws.size)
     assert abs(draws.std(ddof=1) - 1.0) < 3.0 / math.sqrt(2 * draws.size)
 
@@ -300,7 +301,7 @@ def test_linked_factor_samples_have_symmetric_mean():
     Y = rng.standard_normal((1, 5))
     X = np.abs(slab @ Y) * rng.standard_normal((3, 5))
     state = ChainState(X=X, Y=Y, mask=mask, slab=slab, layer_hyper=HYPER)
-    draws = np.array([gibbs_update_factor(state, 0, 0, HYPER, rng) for _ in range(30_000)])
+    draws = np.array([gibbs_update_factor(state, 0, 0, rng) for _ in range(30_000)])
     kept = draws[::10]
     se = kept.std(ddof=1) / math.sqrt(len(kept))
     assert abs(kept.mean()) < 3.0 * se
@@ -394,5 +395,18 @@ def test_run_layerwise_pads_hyper_to_depth():
     rng = np.random.default_rng(22)
     X = rng.standard_normal((6, 15))
     cfg = InferenceConfig(iterations=4, init_k=2, seed=3, layerwise_outer_loops=1)
-    states = run_layerwise(X, 2, cfg, HyperParams(layer_widths=(3,)))
+    hyper = HyperParams(layer_widths=(3,))
+    states = run_layerwise(X, 2, cfg, hyper)
     assert len(states) == 2
+    assert [st.layer_hyper for st in states] == [hyper.layer(0)] * 2
+    # Two configured layers at depth 3: the third reuses the second's values.
+    hyper = HyperParams(
+        alpha_ibp_per_layer=(3.0, 1.5), ig_shape_per_layer=(2.0, 3.0),
+        ig_scale_per_layer=(1.0, 0.5), layer_widths=(3, 2),
+    )
+    cfg = InferenceConfig(iterations=3, init_k=3, seed=4, layerwise_outer_loops=1)
+    states = run_layerwise(X, 3, cfg, hyper)
+    assert [st.layer_hyper for st in states] == [hyper.layer(0), hyper.layer(1), hyper.layer(1)]
+    assert states[2].layer_hyper == LayerHyper(
+        alpha_ibp=1.5, ig_shape=3.0, ig_scale=0.5, sigma_top=1.0, sigma_floor=1e-6
+    )

@@ -213,7 +213,7 @@ def test_sweeps_follow_reference(N, T, K, parent):
     new, ref = _state(11, N, T, K, parent), _state(11, N, T, K, parent)
     rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(200):
-        gibbs_sweep(new, HYPER, rng_new, STEP)
+        gibbs_sweep(new, rng_new, STEP)
         ref_sweep(ref, HYPER, rng_ref, STEP)
     assert new.stats.weight_accepted > 0 and new.stats.factor_accepted > 0
     _assert_same_chain(new, ref, rng_new, rng_ref)
@@ -224,25 +224,24 @@ def test_unlinked_column_redraw_follows_reference():
     new, ref = _state(12, N, T, K, unlinked=empty), _state(12, N, T, K, unlinked=empty)
     rng_new, rng_ref = np.random.default_rng(6), np.random.default_rng(6)
     # The prior-redraw branch, on a whole row and on one entry, then sweeps.
-    _factor_row_update(new, empty, np.arange(T), HYPER, rng_new, STEP)
+    _factor_row_update(new, empty, np.arange(T), rng_new, STEP)
     ref_factor_row_update(ref, empty, np.arange(T), HYPER, rng_ref, STEP)
     for t in (0, 7, T - 1):
-        gibbs_update_factor(new, empty, t, HYPER, rng_new, STEP)
+        gibbs_update_factor(new, empty, t, rng_new, STEP)
         ref_factor_row_update(ref, empty, np.array([t]), HYPER, rng_ref, STEP)
     assert new.m[empty] == 0
     for _ in range(200):
-        gibbs_sweep(new, HYPER, rng_new, STEP)
+        gibbs_sweep(new, rng_new, STEP)
         ref_sweep(ref, HYPER, rng_ref, STEP)
     _assert_same_chain(new, ref, rng_new, rng_ref)
 
 
 def test_single_entry_factor_updates_follow_reference():
-    new, hyper = oracle.frozen_kernel_state()
-    ref, _ = oracle.frozen_kernel_state()
+    new, ref = oracle.frozen_kernel_state(), oracle.frozen_kernel_state()
     rng_new, rng_ref = np.random.default_rng(2025), np.random.default_rng(2025)
     for i in range(20_000):
         k, t = i % new.K, (i // new.K) % new.T
-        gibbs_update_factor(new, k, t, hyper, rng_new, STEP)
-        ref_factor_row_update(ref, k, np.array([t]), hyper, rng_ref, STEP)
+        gibbs_update_factor(new, k, t, rng_new, STEP)
+        ref_factor_row_update(ref, k, np.array([t]), ref.layer_hyper, rng_ref, STEP)
     assert 0 < new.stats.factor_accepted < new.stats.factor_proposed
     _assert_same_chain(new, ref, rng_new, rng_ref)

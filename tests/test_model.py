@@ -16,77 +16,30 @@ from deepibp.model import (
     generate_dataset,
     log_joint,
     log_joint_terms,
-    propagate_sigma,
     sample_weight_layer,
-    spike_slab_logpdf,
 )
-from deepibp.oracle import Grid1D, grid_integrate
-
-
-# -- spike-and-slab density ----------------------------------------------
-
-def test_spike_slab_point_mass_values():
-    assert spike_slab_logpdf(0.0, 1.0, 1.0) == ("point_mass", 0.0)
-    kind, value = spike_slab_logpdf(0.0, 0.3, 2.0)
-    assert kind == "point_mass"
-    assert abs(value - 0.7) < 1e-15
-
-
-def test_spike_slab_continuous_value():
-    kind, value = spike_slab_logpdf(1.0, 0.5, 1.0)
-    assert kind == "log_density"
-    expect = math.log(0.5) - 0.5 - 0.5 * math.log(2.0 * math.pi)
-    assert abs(value - expect) < 1e-12
-
-
-def test_spike_slab_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        spike_slab_logpdf(float("nan"), 0.5, 1.0)
-    with pytest.raises(ValueError):
-        spike_slab_logpdf(1.0, 1.5, 1.0)
-    with pytest.raises(ValueError):
-        spike_slab_logpdf(1.0, 0.5, 0.0)
-
-
-def test_spike_slab_continuous_part_integrates_to_p():
-    for p, s2 in ((0.5, 2.0), (0.25, 0.4)):
-        width = 50.0 * math.sqrt(s2)
-        # Even point count keeps w = 0 off the grid, so every node is in
-        # the continuous part's domain.
-        grid = Grid1D(-width, width, 200_000)
-
-        def density(w):
-            return np.array([math.exp(spike_slab_logpdf(float(v), p, s2).value) for v in w])
-
-        mass = grid_integrate(density, grid)
-        assert abs(mass - p) < 1e-8
-        # Discrete plus continuous parts account for the whole law.
-        assert abs((1.0 - p) + mass - 1.0) < 1e-8
 
 
 # -- variance routing -----------------------------------------------------
 
 def test_propagate_sigma_hand_values():
-    assert propagate_sigma([1.0, -2.0], [3.0, 1.0], 1e-6) == 1.0
-    assert propagate_sigma([0.0, 0.0], [5.0, 7.0], 1e-6) == 1e-6
-    assert propagate_sigma([], [], 1e-6) == 1e-6
+    rows = model.propagate_sigma_matrix(
+        np.array([[1.0, -2.0], [0.0, 0.0]]), np.array([[3.0], [1.0]]), 1e-6
+    )
+    np.testing.assert_array_equal(rows, [[1.0], [1e-6]])
+    # No factors: the empty sum is zero and the floor engages.
+    empty = model.propagate_sigma_matrix(np.zeros((2, 0)), np.zeros((0, 3)), 1e-6)
+    np.testing.assert_array_equal(empty, np.full((2, 3), 1e-6))
 
 
 def test_propagate_sigma_sign_flip_invariance():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        w = rng.standard_normal(4)
-        y = rng.standard_normal(4)
-        base = propagate_sigma(w, y, 1e-9)
-        assert propagate_sigma(-w, y, 1e-9) == base
-        assert propagate_sigma(w, -y, 1e-9) == base
-
-
-def test_propagate_sigma_rejects_mismatch_and_bad_floor():
-    with pytest.raises(ValueError):
-        propagate_sigma([1.0], [1.0, 2.0], 1e-6)
-    with pytest.raises(ValueError):
-        propagate_sigma([1.0], [1.0], 0.0)
+        W = rng.standard_normal((3, 4))
+        Y = rng.standard_normal((4, 5))
+        base = model.propagate_sigma_matrix(W, Y, 1e-9)
+        np.testing.assert_array_equal(model.propagate_sigma_matrix(-W, Y, 1e-9), base)
+        np.testing.assert_array_equal(model.propagate_sigma_matrix(W, -Y, 1e-9), base)
 
 
 def test_propagate_sigma_matrix_matches_scalar():
@@ -96,27 +49,8 @@ def test_propagate_sigma_matrix_matches_scalar():
     full = model.propagate_sigma_matrix(W, Y, 1e-6)
     for n in range(3):
         for t in range(5):
-            assert abs(full[n, t] - propagate_sigma(W[n], Y[:, t], 1e-6)) < 1e-14
-
-
-def test_sample_factor_column_zero_weights_stay_near_floor():
-    rng = np.random.default_rng(2)
-    layer = WeightLayer(mask=np.zeros((4, 2), dtype=np.int8), slab=np.zeros((4, 2)))
-    draws = model.sample_factor_column(layer, [1.0, -1.0], rng, sigma_floor=1e-6)
-    assert np.abs(draws).max() < 1e-4
-
-
-def test_sample_factor_column_scale():
-    rng = np.random.default_rng(3)
-    sigma = 1.7
-    layer = WeightLayer(mask=np.ones((1, 1), dtype=np.int8), slab=np.array([[sigma]]))
-    draws = np.array([
-        model.sample_factor_column(layer, [1.0], rng)[0] for _ in range(100_000)
-    ])
-    se_mean = sigma / math.sqrt(len(draws))
-    assert abs(draws.mean()) < 3.0 * se_mean
-    # Sample std of a normal has SE sigma / sqrt(2 n).
-    assert abs(draws.std(ddof=1) - sigma) < 3.0 * sigma / math.sqrt(2 * len(draws))
+            scalar = max(abs(sum(W[n, j] * Y[j, t] for j in range(2))), 1e-6)
+            assert abs(full[n, t] - scalar) < 1e-14
 
 
 # -- prior sampling of a weight layer -------------------------------------

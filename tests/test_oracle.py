@@ -118,9 +118,9 @@ def test_freq_standard_error():
 
 
 def test_frozen_kernel_state_is_reproducible_and_consistent():
-    a, hyper_a = oracle.frozen_kernel_state()
-    b, hyper_b = oracle.frozen_kernel_state()
-    assert hyper_a == hyper_b
+    a = oracle.frozen_kernel_state()
+    b = oracle.frozen_kernel_state()
+    assert a.layer_hyper == b.layer_hyper
     np.testing.assert_array_equal(a.X, b.X)
     np.testing.assert_array_equal(a.mask, b.mask)
     a.check_consistency()
