@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import dataio
 from .inference import ChainTrace, InferenceConfig, run_mh_layer
@@ -231,6 +229,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[TrialResu
     if jobs <= 1:
         results = [_run_trial_star(spec) for spec in specs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_trial_star, specs, chunksize=1))
     return results, summarize(results)
@@ -265,6 +265,9 @@ def emit_report(stats: SummaryStats, results: list[TrialResult], path, *,
     Timings vary run to run; every CSV body is a pure function of the
     config and seed.
     """
+    # Imported here so that the sampler's commands do not load scipy.
+    import scipy
+
     out = Path(path)
     lines = ["K_true,init,mean,variance"]
     for row in stats.rows:

@@ -11,10 +11,10 @@ Indian buffet process law over equivalence classes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "BinaryMatrix",
@@ -85,19 +85,22 @@ def logprob_mask_marginal_counts(m: np.ndarray, N: int, alpha: float) -> float:
 
     The marginal depends on the mask only through its counts, so the
     sampler's dimension moves price masks they never build.  No input
-    checks.
+    checks.  Columns with equal counts contribute equal terms, so each
+    count that occurs is priced once and weighted by how many columns
+    have it: a million-column mask costs a few terms.
     """
     K = len(m)
     if K == 0:
         return 0.0
     a = alpha / K
-    per_col = (
-        np.log(a)
-        + gammaln(m + a)
-        + gammaln(N - m + 1.0)
-        - gammaln(N + 1.0 + a)
-    )
-    return float(per_col.sum())
+    log_a = math.log(a)
+    lg_top = math.lgamma(N + 1.0 + a)
+    n_with = np.bincount(m)
+    counts = np.flatnonzero(n_with)
+    return float(sum(
+        n * (log_a + math.lgamma(c + a) + math.lgamma(N - c + 1.0) - lg_top)
+        for c, n in zip(counts.tolist(), n_with[counts].tolist())
+    ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +166,10 @@ def logprob_mask_ibp(Z: BinaryMatrix, alpha: float) -> float:
     if K == 0:
         return float(out)
     lof = left_order_form(Z)
-    out += K * np.log(alpha)
-    out -= sum(gammaln(c + 1.0) for c in lof.multiplicities)
-    out += float(np.sum(gammaln(N - m + 1.0) + gammaln(m) - gammaln(N + 1.0)))
+    out += K * math.log(alpha)
+    out -= sum(math.lgamma(c + 1.0) for c in lof.multiplicities)
+    lg_n = math.lgamma(N + 1.0)
+    out += sum(math.lgamma(N - mk + 1.0) + math.lgamma(mk) - lg_n for mk in m.tolist())
     return float(out)
 
 

@@ -216,10 +216,11 @@ class ChainState:
         Each initial column is conditioned on having at least one link
         (empty columns are redrawn), so a chain initialised at K really
         starts with K active factors; columns are independent under the
-        finite prior, so this is the conditioned prior law.
+        finite prior, so this is the conditioned prior law.  Data with
+        no rows start at K = 0, the only factor count their prior allows.
         """
         X = model.as_factor_matrix(X)
-        k0 = cfg.draw_init_k(rng)
+        k0 = cfg.draw_init_k(rng) if X.shape[0] else 0
         layer = model.sample_weight_layer(
             X.shape[0], k0, hyper.alpha_ibp, hyper.ig_shape, hyper.ig_scale, rng
         )

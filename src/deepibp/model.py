@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .ibp import as_binary_matrix, column_counts, harmonic_number, logprob_mask_marginal
 
@@ -366,18 +365,24 @@ def slab_column_logmarginal(sq_sum: float, count: int, ig_shape: float, ig_scale
     a, b = ig_shape, ig_scale
     return float(
         a * math.log(b)
-        - gammaln(a)
+        - math.lgamma(a)
         - 0.5 * count * LOG_2PI
-        + gammaln(a + 0.5 * count)
+        + math.lgamma(a + 0.5 * count)
         - (a + 0.5 * count) * math.log(b + 0.5 * sq_sum)
     )
 
 
 def log_poisson_k(k: int, rate: float) -> float:
-    """Poisson log-pmf used as the prior over the number of factors."""
+    """Poisson log-pmf used as the prior over the number of factors.
+
+    A layer over no data rows has rate alpha * H_0 = 0, whose law is the
+    point mass at k = 0.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return float(k * math.log(rate) - rate - gammaln(k + 1.0))
+    if rate == 0.0:
+        return 0.0 if k == 0 else -math.inf
+    return float(k * math.log(rate) - rate - math.lgamma(k + 1.0))
 
 
 def spike_slab_predictive(m_minus: int, N: int, alpha_over_K: float) -> tuple[float, float]:
@@ -419,16 +424,21 @@ def slab_predictive_params(
     return 2.0 * a, math.sqrt(b / a)
 
 
-def student_t_logpdf(w: float, df: float, scale: float) -> float:
-    """Log-density of a centred Student-t with the given df and scale."""
-    z = w / scale
-    return float(
-        gammaln(0.5 * (df + 1.0))
-        - gammaln(0.5 * df)
+def student_t_logpdf(w, df: float, scale: float):
+    """Log-density of a centred Student-t with the given df and scale.
+
+    ``w`` may be a float, which gives a float, or an array, which gives
+    an array of its shape.
+    """
+    const = (
+        math.lgamma(0.5 * (df + 1.0))
+        - math.lgamma(0.5 * df)
         - 0.5 * math.log(df * math.pi)
         - math.log(scale)
-        - 0.5 * (df + 1.0) * math.log1p(z * z / df)
     )
+    z = np.asarray(w, dtype=float) / scale
+    out = const - 0.5 * (df + 1.0) * np.log1p(z * z / df)
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_student_t(df: float, scale: float, rng: np.random.Generator, size=None):

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainccinv
 
 from . import ibp, model
 
@@ -118,6 +117,9 @@ def _sigma_axis_logintegral(sq_sum: float, count: int, ig_shape: float, ig_scale
     a log-spaced variance grid wide enough to cover the integrand's
     inverse-gamma-shaped bulk.
     """
+    # Imported here so that importing deepibp does not load scipy.special.
+    from scipy.special import gammainccinv
+
     a_post = ig_shape + 0.5 * count
     b_post = ig_scale + 0.5 * sq_sum
     # Inverse-gamma quantiles: b / Q^-1(a, q), Q the regularised upper gamma.
@@ -322,7 +324,7 @@ def weight_kernel_tv(kept: int = 100_000, thin: int = 5, n_bins: int = 24,
     grid = np.linspace(-L, L, 40001)
     log_d = (
         math.log(slab_p)
-        + np.array([model.student_t_logpdf(w, df, t_scale) for w in grid])
+        + model.student_t_logpdf(grid, df, t_scale)
         + loglik(grid)
         - lik0
     )

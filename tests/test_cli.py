@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line driver."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deepibp
 from deepibp import __version__, dataio
 from deepibp.cli import ConfigError, build_parser, load_config, main
 
@@ -252,6 +255,19 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"deepibp {__version__}"
+
+
+def test_import_loads_no_scipy():
+    # scipy.special costs about 0.3 s of import; only validate's
+    # quadrature and the experiment manifest load scipy, on first use.
+    src = str(Path(deepibp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, deepibp, deepibp.cli\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_module_invocation_smoke():

@@ -207,3 +207,26 @@ def test_mask_marginal_matches_beta_function_identity():
             - gammaln(N + 1.0 + alpha)
         )
         assert abs(ibp.logprob_mask_marginal(Z, alpha) - expect) < 1e-12
+
+
+def _mask_marginal_per_column(m, N, alpha):
+    a = alpha / len(m)
+    return float(np.sum(
+        np.log(a) + gammaln(m + a) + gammaln(N - m + 1.0) - gammaln(N + 1.0 + a)
+    ))
+
+
+def test_mask_marginal_counts_matches_per_column_gammaln():
+    rng = np.random.default_rng(31)
+    for N in (2, 4, 16):
+        for K in (1, 2, 7, 20):
+            for alpha in (0.3, 2.0, 6.5):
+                m = rng.integers(0, N + 1, size=K)
+                expect = _mask_marginal_per_column(m, N, alpha)
+                got = ibp.logprob_mask_marginal_counts(m, N, alpha)
+                assert abs(got - expect) <= 1e-12 * abs(expect)
+    # A million columns, two linked: the log a + lgamma(a) cancellation
+    # in each empty column's term leaves about 2e-9 of rounding.
+    m = np.zeros(1_000_000, dtype=np.int64)
+    m[:2] = (1, 2)
+    assert abs(ibp.logprob_mask_marginal_counts(m, 2, 1.5) - _mask_marginal_per_column(m, 2, 1.5)) < 1e-8

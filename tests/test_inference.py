@@ -391,6 +391,32 @@ def test_run_layerwise_two_layers_smoke():
         run_layerwise(X, 0, cfg, hyper)
 
 
+def test_chain_over_no_rows_stays_at_k_zero():
+    # No rows give the factor count a rate of alpha * H_0 = 0: K = 0 is
+    # the only value with prior mass, whatever init_k asks for.
+    cfg = InferenceConfig(iterations=3, init_k=3, seed=2)
+    state, trace, _ = run_mh_layer(np.zeros((0, 10)), cfg, HYPER)
+    assert state.K == 0
+    assert (trace.k == 0).all()
+    assert np.isfinite(trace.log_joint).all()
+    state.check_consistency()
+
+
+def test_run_layerwise_survives_lower_layer_reaching_k_zero():
+    # At this seed layer 1 empties within three iterations, so layer 2
+    # runs on a (0, T) factor matrix.
+    hyper = HyperParams(layer_widths=(5, 3))
+    rng = np.random.default_rng(8)
+    truth = model.GenerativeModel.from_prior(hyper, 12, rng)
+    X = model.generate_dataset(truth, 60, rng)[-1]
+    cfg = InferenceConfig(iterations=10, init_k=4, seed=4, layerwise_outer_loops=3)
+    states = run_layerwise(X, 2, cfg, hyper)
+    assert [st.K for st in states] == [0, 0]
+    for st in states:
+        assert math.isfinite(st.log_joint_cached)
+        st.check_consistency()
+
+
 def test_run_layerwise_pads_hyper_to_depth():
     rng = np.random.default_rng(22)
     X = rng.standard_normal((6, 15))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
 
 from deepibp import model
 from deepibp.model import (
@@ -292,6 +293,15 @@ def test_slab_column_logmarginal_single_value_is_student_t():
     assert abs(got - expect) < 1e-12
 
 
+def test_slab_column_logmarginal_matches_gammaln_form():
+    for sq, count, a, b in ((2.4, 3, 2.0, 1.0), (0.01, 1, 0.5, 3.0), (40.0, 25, 7.5, 0.2)):
+        expect = (
+            a * math.log(b) - gammaln(a) - 0.5 * count * math.log(2.0 * math.pi)
+            + gammaln(a + 0.5 * count) - (a + 0.5 * count) * math.log(b + 0.5 * sq)
+        )
+        assert abs(model.slab_column_logmarginal(sq, count, a, b) - expect) < 1e-12
+
+
 def test_spike_slab_predictive_hand_values():
     spike, slab = model.spike_slab_predictive(0, 2, 1.0)
     assert abs(spike - 2.0 / 3.0) < 1e-15
@@ -313,6 +323,11 @@ def test_student_t_logpdf_matches_scipy():
     for w, df, scale in ((0.3, 4.0, 1.2), (-2.0, 7.0, 0.5), (0.0, 2.0, 3.0)):
         expect = stats.t.logpdf(w, df, scale=scale)
         assert abs(model.student_t_logpdf(w, df, scale) - expect) < 1e-12
+    grid = np.linspace(-6.0, 6.0, 13)
+    np.testing.assert_allclose(
+        model.student_t_logpdf(grid, 5.0, 0.7), stats.t.logpdf(grid, 5.0, scale=0.7),
+        rtol=0, atol=1e-12,
+    )
 
 
 def test_sample_student_t_moments():
@@ -327,6 +342,9 @@ def test_sample_student_t_moments():
 def test_log_poisson_k_matches_scipy():
     for k, rate in ((0, 2.0), (3, 5.5), (10, 1.0)):
         assert abs(model.log_poisson_k(k, rate) - stats.poisson.logpmf(k, rate)) < 1e-12
+    # Rate 0 (a layer over no rows) is the point mass at k = 0.
+    assert model.log_poisson_k(0, 0.0) == stats.poisson.logpmf(0, 0.0) == 0.0
+    assert model.log_poisson_k(3, 0.0) == stats.poisson.logpmf(3, 0.0) == -math.inf
     with pytest.raises(ValueError):
         model.log_poisson_k(-1, 2.0)
 
