@@ -18,7 +18,6 @@ from deepibp.ibp import (
     logprob_mask_marginal,
     sample_ibp_sequential,
     sample_mask_finite,
-    drop_zero_columns,
 )
 from deepibp.oracle import enumerate_masks
 
@@ -40,7 +39,8 @@ def main():
     for k_cols in (4, 16, 64):
         counts = {}
         for _ in range(40_000):
-            mask = drop_zero_columns(sample_mask_finite(2, k_cols, alpha, rng))
+            mask = sample_mask_finite(2, k_cols, alpha, rng)
+            mask = mask[:, mask.any(axis=0)]
             key = left_order_form(mask).key
             counts[key] = counts.get(key, 0) + 1
             if key not in target:

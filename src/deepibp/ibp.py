@@ -21,7 +21,6 @@ __all__ = [
     "LofClass",
     "as_binary_matrix",
     "column_counts",
-    "drop_zero_columns",
     "harmonic_number",
     "left_order_form",
     "logprob_mask_ibp",
@@ -224,9 +223,3 @@ def sample_mask_finite(N: int, K: int, alpha: float, rng: np.random.Generator) -
         return np.zeros((N, 0), dtype=np.int8)
     p = rng.random(K) ** (K / alpha)
     return (rng.random((N, K)) < p).astype(np.int8)
-
-
-def drop_zero_columns(Z: BinaryMatrix) -> np.ndarray:
-    """Remove all-zero columns, e.g. before taking a left-ordered form."""
-    Z = as_binary_matrix(Z)
-    return Z[:, column_counts(Z) > 0]

@@ -11,6 +11,7 @@ reciprocals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +33,6 @@ __all__ = [
     "gibbs_update_weight",
     "log_ratio_add",
     "log_ratio_delete",
-    "prune_empty_factors",
     "resample_data",
     "run_mh_layer",
     "run_layerwise",
@@ -141,6 +141,10 @@ class ChainState:
     S: np.ndarray = field(init=False)
     sigma_y: np.ndarray = field(init=False)
     log_joint_cached: float = field(init=False)
+    # One-slot memo of log_ratio_add: (key, ratio), keyed by what it reads.
+    _add_ratio_memo: tuple[tuple[bytes, int, float], float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.X = model.as_factor_matrix(self.X)
@@ -284,8 +288,21 @@ def _log_ratio_from_small(m_small: np.ndarray, k_plus_small: int, N: int, alpha:
 
 
 def log_ratio_add(state: ChainState) -> float:
-    """Unclamped interior log-ratio for adding one empty factor."""
-    return _log_ratio_from_small(state.m, state.K_plus, state.N, state.layer_hyper.alpha_ibp)
+    """Unclamped interior log-ratio for adding one empty factor.
+
+    The ratio depends only on the link counts, N and alpha, and the link
+    counts seldom change between the dimension moves of one pass, so the
+    chain keeps the last value under those inputs and reuses it while
+    they match.
+    """
+    alpha = state.layer_hyper.alpha_ibp
+    key = (state.m.tobytes(), state.N, alpha)
+    memo = state._add_ratio_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    log_r = _log_ratio_from_small(state.m, state.K_plus, state.N, alpha)
+    state._add_ratio_memo = (key, log_r)
+    return log_r
 
 
 def log_ratio_delete(state: ChainState, k: int) -> float:
@@ -335,18 +352,6 @@ def _apply_delete(state: ChainState, k: int) -> None:
     state.Y = np.delete(state.Y, k, axis=0)
     state.m = np.delete(state.m, k)
     state.sigma_y = np.delete(state.sigma_y, k, axis=0)
-
-
-def prune_empty_factors(state: ChainState) -> ChainState:
-    """Drop every unlinked factor and refresh the caches.
-
-    Removing an all-zero mask column leaves the data likelihood exactly
-    unchanged; only the prior terms move.  Returns the same object.
-    """
-    for k in reversed(np.flatnonzero(state.m == 0)):
-        _apply_delete(state, int(k))
-    state.refresh()
-    return state
 
 
 def _dimension_move(
@@ -404,13 +409,45 @@ def _row_loglik(x_row: np.ndarray, s_row: np.ndarray, floor: float) -> float:
 _TOGGLE_CELLS = 21
 _TOGGLE_SPAN = 7.0
 _TOGGLE_T_WEIGHT = 0.1
-# Cell centres in cell widths from the grid's left edge, plus two slots
-# that each visit sets to w = 0 and to the current value, so that one
-# (23, T) batch prices the grid and both ends of the toggle.
-_GRID_OFFSETS = np.append(np.arange(_TOGGLE_CELLS) + 0.5, (0.0, 0.0))
+# Cell centres in cell widths from the grid's left edge, plus a slot that
+# a birth visit sets to w = 0, so that one (22, T) batch prices the grid
+# and the spike end of the toggle.
+_GRID_OFFSETS = np.append(np.arange(_TOGGLE_CELLS) + 0.5, 0.0)
 # Squared cell centres in predictive-scale units; the grid spans the
 # same [-span, span] in those units whatever the scale.
 _GRID_Z2 = ((_GRID_OFFSETS[:_TOGGLE_CELLS] * (2.0 / _TOGGLE_CELLS) - 1.0) * _TOGGLE_SPAN) ** 2
+
+
+@functools.lru_cache(maxsize=64)
+def _t_grid_terms(df: float) -> tuple[float, float, np.ndarray]:
+    """The toggle's Student-t terms that depend on df alone.
+
+    Returns the log normaliser without its -log(scale) term, the power
+    (df + 1)/2 and the log-kernel at every cell centre.  df takes at most
+    N values per layer, so each is computed once.
+    """
+    t_power = 0.5 * (df + 1.0)
+    norm = math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
+    grid_kernel = t_power * np.log1p(_GRID_Z2 / df)
+    grid_kernel.flags.writeable = False
+    return norm, t_power, grid_kernel
+
+
+def _loglik_rows(
+    ws: np.ndarray, x_row: np.ndarray, base_row: np.ndarray, y_row: np.ndarray, floor: float
+) -> np.ndarray:
+    """Row log-likelihood (as _row_loglik) at each weight value in ``ws``.
+
+    Each value's row is reduced on its own, so a value's log-likelihood is
+    the same float whichever batch it is priced in.
+    """
+    sigma = np.multiply.outer(ws, y_row)
+    sigma += base_row
+    np.abs(sigma, out=sigma)
+    np.maximum(sigma, floor, out=sigma)
+    z2 = x_row / sigma
+    z2 *= z2
+    return -np.log(sigma).sum(axis=1) - 0.5 * z2.sum(axis=1)
 
 
 def gibbs_update_weight(
@@ -438,6 +475,11 @@ def gibbs_update_weight(
     picked by numpy's own ``choice`` algorithm (cumulative sum, then
     ``searchsorted`` on one uniform), so the draws are those of
     ``rng.choice(p=...)`` without its argument validation.
+
+    A death toggle is rejected early when it would be rejected with
+    every cell mass at its ceiling of 1, which needs only the
+    log-likelihoods at w = 0 and w_cur; the grid is built only when that
+    bound lets the toggle through, and the decision is the same.
     """
     lh = state.layer_hyper
     active = bool(state.mask[n, k])
@@ -448,13 +490,8 @@ def gibbs_update_weight(
     w_cur = float(state.slab[n, k])
     sq_minus = float(col @ col) - w_cur * w_cur
     df, t_scale = model.slab_predictive_params(m_minus, sq_minus, lh.ig_shape, lh.ig_scale)
-    t_norm = (
-        math.lgamma(0.5 * (df + 1.0))
-        - math.lgamma(0.5 * df)
-        - 0.5 * math.log(df * math.pi)
-        - math.log(t_scale)
-    )
-    t_power = 0.5 * (df + 1.0)
+    t_norm, t_power, grid_kernel = _t_grid_terms(df)
+    t_norm -= math.log(t_scale)
 
     def t_logpdf(w: float) -> float:
         z = w / t_scale
@@ -464,37 +501,37 @@ def gibbs_update_weight(
     y_row = state.Y[k]
     base_row = state.S[n] - w_cur * y_row
     floor = lh.sigma_floor
-
-    # Row log-likelihood at every cell centre, at w = 0 and at w_cur.
     half = _TOGGLE_SPAN * t_scale
     h = 2.0 * half / _TOGGLE_CELLS
-    ws = _GRID_OFFSETS * h - half
-    ws[-2] = 0.0
-    ws[-1] = w_cur
-    sigma = np.multiply.outer(ws, y_row)
-    sigma += base_row
-    np.abs(sigma, out=sigma)
-    np.maximum(sigma, floor, out=sigma)
-    z2 = x_row / sigma
-    z2 *= z2
-    ll = -np.log(sigma).sum(axis=1) - 0.5 * z2.sum(axis=1)
-    ll_zero, ll_cur = ll[-2:].tolist()
 
-    log_mass = ll[:_TOGGLE_CELLS] - t_power * np.log1p(_GRID_Z2 / df)
-    log_mass -= log_mass.max()
-    mass = np.exp(log_mass)
-    log_total = math.log(float(mass.sum()))
+    def cell_log_mass(ll_cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        # Conditional at each cell centre, scaled so its largest cell is 1.
+        log_mass = ll_cells - grid_kernel
+        log_mass -= log_mass.max()
+        mass = np.exp(log_mass)
+        return log_mass, mass, math.log(float(mass.sum()))
 
-    def toggle_logq(w: float) -> float:
+    def toggle_logq(w: float, log_mass: np.ndarray | None = None, log_total: float = 0.0) -> float:
+        # Without the grid, w's cell mass takes its ceiling: the largest
+        # cell is exp(0) = 1 and the masses sum to at least 1.
         q = _TOGGLE_T_WEIGHT * math.exp(t_logpdf(w))
         if -half <= w < half:
-            g = min(int((w + half) / h), _TOGGLE_CELLS - 1)
-            q += (1.0 - _TOGGLE_T_WEIGHT) * math.exp(float(log_mass[g]) - log_total) / h
+            cell = 1.0
+            if log_mass is not None:
+                g = min(int((w + half) / h), _TOGGLE_CELLS - 1)
+                cell = math.exp(float(log_mass[g]) - log_total)
+            q += (1.0 - _TOGGLE_T_WEIGHT) * cell / h
         return math.log(q)
 
     stats = state.stats
     stats.weight_proposed += 1
     if not active:
+        # Row log-likelihood at every cell centre and at w = 0.
+        ws = _GRID_OFFSETS * h - half
+        ws[-1] = 0.0
+        ll = _loglik_rows(ws, x_row, base_row, y_row, floor)
+        ll_zero = float(ll[-1])
+        log_mass, mass, log_total = cell_log_mass(ll[:-1])
         if rng.random() < _TOGGLE_T_WEIGHT:
             w_star = float(model.sample_student_t(df, t_scale, rng))
         else:
@@ -508,7 +545,7 @@ def gibbs_update_weight(
             math.log(slab_p)
             - math.log(spike_p)
             + t_logpdf(w_star)
-            - toggle_logq(w_star)
+            - toggle_logq(w_star, log_mass, log_total)
             + ll_star
             - ll_zero
         )
@@ -520,21 +557,24 @@ def gibbs_update_weight(
             stats.weight_accepted += 1
             active, w_cur, ll_cur = True, w_star, ll_star
     else:
-        log_r = (
-            math.log(spike_p)
-            - math.log(slab_p)
-            + toggle_logq(w_cur)
-            - t_logpdf(w_cur)
-            + ll_zero
-            - ll_cur
-        )
-        if math.log(rng.random()) < log_r:
-            state.mask[n, k] = 0
-            state.slab[n, k] = 0.0
-            state.m[k] -= 1
-            state.S[n] = base_row
-            stats.weight_accepted += 1
-            active = False
+        ll_zero, ll_cur = _loglik_rows(np.array((0.0, w_cur)), x_row, base_row, y_row, floor).tolist()
+        log_u = math.log(rng.random())
+
+        def death_log_r(logq: float) -> float:
+            return math.log(spike_p) - math.log(slab_p) + logq - t_logpdf(w_cur) + ll_zero - ll_cur
+
+        # Every step from q to log_r is monotone, so the ceiling bounds
+        # the exact ratio: a toggle rejected here is rejected by it too.
+        if log_u < death_log_r(toggle_logq(w_cur)):
+            ws = _GRID_OFFSETS[:_TOGGLE_CELLS] * h - half
+            log_mass, _, log_total = cell_log_mass(_loglik_rows(ws, x_row, base_row, y_row, floor))
+            if log_u < death_log_r(toggle_logq(w_cur, log_mass, log_total)):
+                state.mask[n, k] = 0
+                state.slab[n, k] = 0.0
+                state.m[k] -= 1
+                state.S[n] = base_row
+                stats.weight_accepted += 1
+                active = False
 
     if not active:
         return 0.0

@@ -457,10 +457,6 @@ class JointTerms:
     log_k_prior: float
 
     @property
-    def log_weight_prior(self) -> float:
-        return self.log_mask_prior + self.log_slab_prior
-
-    @property
     def total(self) -> float:
         return (
             self.log_lik

@@ -18,11 +18,11 @@ from deepibp.inference import (
     gibbs_update_weight,
     log_ratio_add,
     log_ratio_delete,
-    prune_empty_factors,
     resample_data,
     run_layerwise,
     run_mh_layer,
 )
+from deepibp.inference import _apply_add, _apply_delete, _log_ratio_from_small
 from deepibp.model import HyperParams, LayerHyper, ParentContext
 
 
@@ -208,24 +208,47 @@ def test_empty_state_add_uses_bootstrap():
     assert abs(log_ratio_add(state) - expect) < 1e-12
 
 
-def test_prune_empty_factors_behavior():
-    rng = np.random.default_rng(11)
-    mask = np.array([[1, 0, 1], [1, 0, 0], [0, 0, 1]], dtype=np.int8)
-    slab = rng.standard_normal((3, 3)) * mask
+def test_add_ratio_memo_follows_link_counts():
+    # log_ratio_add reuses its last value while the link counts match;
+    # every way the counts change must give the freshly computed ratio.
+    rng = np.random.default_rng(21)
+    N, T = 4, 6
     state = ChainState(
-        X=rng.standard_normal((3, 5)), Y=rng.standard_normal((3, 5)),
-        mask=mask, slab=slab, layer_hyper=HYPER,
+        X=rng.standard_normal((N, T)), Y=np.zeros((0, T)),
+        mask=np.zeros((N, 0), dtype=np.int8), slab=np.zeros((N, 0)),
+        layer_hyper=HYPER,
     )
-    lik_before = model.log_joint_terms(state.X, state, HYPER).log_lik
-    k_before = state.K
-    prune_empty_factors(state)
-    assert state.K == k_before - 1
-    assert (state.m > 0).all()
-    lik_after = model.log_joint_terms(state.X, state, HYPER).log_lik
-    assert lik_after == lik_before
-    # Pruning again is the identity.
-    prune_empty_factors(state)
-    assert state.K == k_before - 1
+
+    def check():
+        fresh = _log_ratio_from_small(state.m.copy(), state.K_plus, state.N, HYPER.alpha_ibp)
+        assert log_ratio_add(state) == fresh
+        assert log_ratio_add(state) == fresh  # the memoised value
+
+    check()  # K = 0
+    for _ in range(3):
+        _apply_add(state, rng)
+        check()  # K+ = 0
+    _apply_delete(state, 1)
+    check()
+    toggles = 0
+    for sweep in range(40):
+        for n in range(N):
+            for k in range(state.K):
+                before = state.m.copy()
+                gibbs_update_weight(state, n, k, rng)
+                toggles += not np.array_equal(before, state.m)
+                check()
+    assert toggles >= 2 and state.K_plus > 0
+    state.mask[:, 0] = 1 - state.mask[:, 0]
+    state.slab[:, 0] = state.mask[:, 0] * 0.5
+    state.refresh()
+    check()
+    state.refresh()
+    check()
+    _apply_add(state, rng)
+    check()
+    _apply_delete(state, state.K - 1)
+    check()
 
 
 # -- weight kernel -----------------------------------------------------------

@@ -8,12 +8,13 @@ counters and the generator's position come out identical, and the real
 arrays agree to rounding.
 """
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from deepibp import model, oracle
+from deepibp import inference, model, oracle
 from deepibp.inference import ChainState, gibbs_sweep, gibbs_update_factor, _factor_row_update
 from deepibp.model import LayerHyper, ParentContext
 
@@ -245,3 +246,116 @@ def test_single_entry_factor_updates_follow_reference():
         ref_factor_row_update(ref, k, np.array([t]), ref.layer_hyper, rng_ref, STEP)
     assert 0 < new.stats.factor_accepted < new.stats.factor_proposed
     _assert_same_chain(new, ref, rng_new, rng_ref)
+
+
+# -- early rejection of the death toggle -------------------------------------------
+
+
+def _count_grid_builds(monkeypatch):
+    """Wrap the kernel's batch pricer; count active visits and grid builds."""
+    calls = {"active": 0, "grid": 0}
+    price = inference._loglik_rows
+
+    def counting(ws, *args):
+        if len(ws) == 2:  # the (w = 0, w_cur) batch opens every active visit
+            calls["active"] += 1
+        elif len(ws) == _TOGGLE_CELLS:  # the cells alone: an active visit's grid
+            calls["grid"] += 1
+        return price(ws, *args)
+
+    monkeypatch.setattr(inference, "_loglik_rows", counting)
+    return calls
+
+
+def test_early_rejection_skips_most_grids_and_keeps_the_chain(monkeypatch):
+    N, T, K = 16, 200, 3
+    new, ref = _state(11, N, T, K), _state(11, N, T, K)
+    rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    calls = _count_grid_builds(monkeypatch)
+    for _ in range(100):
+        gibbs_sweep(new, rng_new, STEP)
+        ref_sweep(ref, HYPER, rng_ref, STEP)
+    assert calls["active"] > 1000
+    assert 0 < calls["grid"] < calls["active"] / 2
+    _assert_same_chain(new, ref, rng_new, rng_ref)
+
+
+def _ref_death_log_ratio(state, n, k):
+    """The exact death log-ratio of entry (n, k) from the reference grid, and the grid's half-width."""
+    lh = state.layer_hyper
+    m_minus = int(state.m[k]) - 1
+    spike_p, slab_p = model.spike_slab_predictive(m_minus, state.N, lh.alpha_ibp / state.K)
+    w_cur = float(state.slab[n, k])
+    sq_minus = float(np.sum(state.slab[:, k] ** 2)) - w_cur * w_cur
+    df, t_scale = model.slab_predictive_params(m_minus, sq_minus, lh.ig_shape, lh.ig_scale)
+    x_row, y_row = state.X[n], state.Y[k]
+    base_row = state.S[n] - w_cur * y_row
+    centers, log_mass, cell_h = _toggle_grid(x_row, base_row, y_row, lh.sigma_floor, df, t_scale)
+    return (
+        math.log(spike_p) - math.log(slab_p)
+        + _toggle_logq(w_cur, centers, log_mass, cell_h, df, t_scale)
+        - model.student_t_logpdf(w_cur, df, t_scale)
+        + _row_loglik(x_row, base_row, lh.sigma_floor)
+        - _row_loglik(x_row, base_row + w_cur * y_row, lh.sigma_floor)
+    ), _TOGGLE_SPAN * t_scale
+
+
+class _FirstUniform:
+    """A generator whose first ``random()`` is ``u``; later draws come from ``rng``."""
+
+    def __init__(self, u, rng):
+        self.u, self.rng = u, rng
+
+    def random(self):
+        u, self.u = self.u, None
+        return self.rng.random() if u is None else u
+
+    def standard_normal(self):
+        return self.rng.standard_normal()
+
+
+def _active_entries(rng):
+    """Random states with every active entry, some moved outside the grid span."""
+    frozen = oracle.frozen_kernel_state()
+    yield frozen, [tuple(e) for e in np.argwhere(frozen.mask == 1)]
+    for i, (N, T, K) in enumerate([(4, 10, 2), (8, 30, 3), (16, 50, 4), (16, 200, 3)] * 30):
+        state = _state(100 + i, N, T, K)
+        active = np.argwhere(state.mask == 1)
+        for n, k in active[rng.random(len(active)) < 0.25]:
+            # w_cur at 7.5 to 12 predictive scales: its cell mass drops out of q.
+            m_minus = int(state.m[k]) - 1
+            sq_minus = float(np.sum(state.slab[:, k] ** 2)) - state.slab[n, k] ** 2
+            _, t_scale = model.slab_predictive_params(m_minus, sq_minus, HYPER.ig_shape, HYPER.ig_scale)
+            state.slab[n, k] = rng.choice((-1.0, 1.0)) * rng.uniform(7.5, 12.0) * t_scale
+        state.refresh()
+        yield state, [tuple(e) for e in active]
+
+
+def test_early_rejection_bound_never_falls_below_the_exact_ratio(monkeypatch):
+    # The bound hi on the death log-ratio decides whether the grid is built:
+    # the grid is skipped exactly when log u >= hi.  With log u just below
+    # the exact ratio, a skip would mean hi < exact; the kernel must build
+    # the grid and accept.  Just above it, the kernel must reject.
+    rng = np.random.default_rng(31)
+    calls = _count_grid_builds(monkeypatch)
+    checked = outside = 0
+    for state, entries in _active_entries(rng):
+        for n, k in entries:
+            exact, half = _ref_death_log_ratio(state, n, k)
+            if exact < -700.0:  # exp(log u) would underflow
+                continue
+            checked += 1
+            outside += not -half <= state.slab[n, k] < half
+            if exact >= 0.0:
+                sides = [(-1e-8, True)]
+            else:
+                eps = 1e-8 * (1.0 - exact)
+                sides = [(exact - eps, True), (exact + eps, False)]
+            for log_u, accepts in sides:
+                trial = copy.deepcopy(state)
+                grids = calls["grid"]
+                inference.gibbs_update_weight(trial, n, k, _FirstUniform(math.exp(log_u), rng), STEP)
+                assert trial.mask[n, k] == (0 if accepts else 1)
+                if accepts:
+                    assert calls["grid"] == grids + 1
+    assert checked >= 1000 and outside >= 50

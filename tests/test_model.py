@@ -215,7 +215,6 @@ def test_log_joint_terms_sum_to_total():
     )
     assert abs(terms.total - parts) < 1e-12
     assert abs(log_joint(state.X, state, hyper) - terms.total) < 1e-12
-    assert abs(terms.log_weight_prior - (terms.log_mask_prior + terms.log_slab_prior)) < 1e-15
 
 
 def test_log_joint_no_factor_state_uses_floor_likelihood():
