@@ -9,7 +9,7 @@ minute; the full protocol is `deepibp experiment`.
 
 import time
 
-from deepibp.experiment import ExperimentConfig, InitStrategy, run_experiment
+from deepibp.experiment import ExperimentConfig, run_experiment
 
 
 def main():
@@ -17,7 +17,7 @@ def main():
         n_dims=12,
         n_instances=120,
         k_true_values=(3, 5),
-        inits=(InitStrategy.fixed(2), InitStrategy.fixed(10)),
+        inits=(2, 10),
         iterations=80,
         replicates=3,
         base_seed=0,

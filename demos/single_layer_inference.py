@@ -31,12 +31,12 @@ def main():
     layer_hyper = hyper.layer(0)
     for init_k in (2, 10):
         cfg = InferenceConfig(iterations=200, init_k=init_k, seed=0)
-        state, trace, stats = run_mh_layer(X, cfg, layer_hyper)
+        state, trace = run_mh_layer(X, cfg, layer_hyper)
         burn = len(trace) * 3 // 4
         print(f"\ninit K={init_k}:")
         print(f"  K every 25 iterations: {trace.k[::25].tolist()}")
         print(f"  posterior mean K (last quarter): {trace.k[burn:].mean():.2f}")
-        print(f"  accepted additions {stats.add_accepted}, deletions {stats.delete_accepted}")
+        print(f"  accepted additions {state.stats.add_accepted}, deletions {state.stats.delete_accepted}")
         print(f"  final log-joint {trace.log_joint[-1]:.0f}, active factors {state.K_plus}")
 
     print("\nboth chains equilibrate near their starting count; the log-joint "

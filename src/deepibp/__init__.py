@@ -49,7 +49,6 @@ from .inference import (
 )
 from .experiment import (
     ExperimentConfig,
-    InitStrategy,
     SummaryStats,
     TrialResult,
     emit_report,
@@ -67,7 +66,6 @@ __all__ = [
     "GenerativeModel",
     "HyperParams",
     "InferenceConfig",
-    "InitStrategy",
     "JointTerms",
     "LayerHyper",
     "MoveStats",

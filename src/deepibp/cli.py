@@ -9,12 +9,15 @@ validate    run the closed-form-vs-quadrature agreement suite
 
 Configs are JSON documents with up to three sections, ``model``,
 ``inference`` and ``experiment``, whose keys mirror the corresponding
-dataclasses; unknown sections or keys are rejected.  Every subcommand
-accepts ``--seed``; when omitted, a seed is drawn from system entropy
-and recorded in the JSON artifact so the run stays reproducible.
+dataclasses; unknown sections or keys are rejected.  ``generate`` reads
+the model section and the data dimensions of the experiment section,
+``infer`` the model and inference sections, and ``experiment`` the
+experiment section and the model section's single layer.  Every
+subcommand accepts ``--seed``; when omitted, a seed is drawn from system
+entropy and recorded in the JSON artifact so the run stays reproducible.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O, parse or config
-error.
+Exit codes: 0 success, 1 validation failure, 2 I/O, parse, config or
+option error.
 """
 
 from __future__ import annotations
@@ -27,26 +30,27 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio, oracle
-from .experiment import ExperimentConfig, InitStrategy, emit_report, run_experiment
+from .experiment import ExperimentConfig, emit_report, run_experiment
 from .inference import ChainTrace, InferenceConfig, run_layerwise
-from .model import GenerativeModel, HyperParams, generate_dataset
+from .model import GenerativeModel, HyperParams, LayerHyper, as_int, generate_dataset
 
 __all__ = ["ConfigError", "build_parser", "load_config", "main"]
 
 
 class ConfigError(ValueError):
-    """A config file is structurally or semantically invalid."""
+    """A config file or a command-line option is invalid."""
 
 
 def _field_names(cls, *exclude: str) -> frozenset[str]:
     return frozenset(f.name for f in fields(cls)) - set(exclude)
 
 
-# Each section takes its dataclass's fields; seeds come from --seed.
+# Each section takes its dataclass's fields; seeds come from --seed and
+# the experiment's hyperparameters from the model section.
 _SECTION_KEYS = {
     "model": _field_names(HyperParams),
     "inference": _field_names(InferenceConfig, "seed"),
-    "experiment": _field_names(ExperimentConfig, "base_seed"),
+    "experiment": _field_names(ExperimentConfig, "base_seed", "layer_hyper"),
 }
 
 
@@ -89,14 +93,15 @@ def build_hyper(config: dict) -> HyperParams:
 
 
 def build_inference(config: dict, seed: int) -> InferenceConfig:
-    section = _coerced(config.get("inference", {}), ("init_k",))
+    section = config.get("inference", {})
     try:
         return InferenceConfig(seed=seed, **section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'inference' section: {exc}") from exc
 
 
-def _parse_init(entry) -> InitStrategy:
+def _parse_init(entry) -> int | tuple:
+    """An init object as an init_k value; ExperimentConfig checks its range."""
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError("each init must be an object with a 'kind' key")
     kind = entry["kind"]
@@ -104,21 +109,21 @@ def _parse_init(entry) -> InitStrategy:
         extra = set(entry) - {"kind", "value"}
         if extra or "value" not in entry:
             raise ConfigError("fixed init takes exactly the keys 'kind' and 'value'")
-        return InitStrategy.fixed(int(entry["value"]))
+        return as_int(entry["value"], "inits")  # a list here is no range
     if kind == "uniform":
         extra = set(entry) - {"kind", "lo", "hi"}
         if extra or not {"lo", "hi"} <= set(entry):
             raise ConfigError("uniform init takes exactly the keys 'kind', 'lo' and 'hi'")
-        return InitStrategy.uniform(int(entry["lo"]), int(entry["hi"]))
+        return entry["lo"], entry["hi"]
     raise ConfigError(f"unknown init kind {kind!r}")
 
 
-def build_experiment(config: dict, seed: int) -> ExperimentConfig:
+def build_experiment(config: dict, seed: int, layer_hyper: LayerHyper) -> ExperimentConfig:
     section = _coerced(config.get("experiment", {}), ("k_true_values",))
-    if "inits" in section:
-        section["inits"] = tuple(_parse_init(e) for e in section["inits"])
     try:
-        return ExperimentConfig(base_seed=seed, **section)
+        if "inits" in section:
+            section["inits"] = tuple(_parse_init(e) for e in section["inits"])
+        return ExperimentConfig(base_seed=seed, layer_hyper=layer_hyper, **section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'experiment' section: {exc}") from exc
 
@@ -134,7 +139,7 @@ def cmd_generate(args) -> int:
     config = load_config(args.config)
     seed = resolve_seed(args.seed)
     hyper = build_hyper(config)
-    dims = build_experiment(config, seed)
+    dims = build_experiment(config, seed, hyper.layer(0))
     rng = np.random.default_rng(seed)
     truth = GenerativeModel.from_prior(hyper, dims.n_dims, rng)
     matrices = generate_dataset(truth, dims.n_instances, rng)
@@ -168,6 +173,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    if args.depth < 1:
+        raise ConfigError(f"--depth must be >= 1, got {args.depth}")
     config = load_config(args.config)
     seed = resolve_seed(args.seed)
     X = dataio.read_dataset_csv(args.data)
@@ -210,7 +217,12 @@ def cmd_infer(args) -> int:
 def cmd_experiment(args) -> int:
     config = load_config(args.config)
     seed = resolve_seed(args.seed)
-    cfg = build_experiment(config, seed)
+    hyper = build_hyper(config)
+    if hyper.num_layers != 1:
+        raise ConfigError(
+            f"experiment fits one layer per K_true, but the 'model' section names {hyper.num_layers} layers"
+        )
+    cfg = build_experiment(config, seed, hyper.layer(0))
     results, stats = run_experiment(cfg, jobs=args.jobs)
     emit_report(stats, results, args.out, cfg=cfg, jobs=args.jobs)
     print(f"{len(results)} trials summarized in {Path(args.out) / 'summary.csv'}")

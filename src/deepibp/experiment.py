@@ -11,23 +11,23 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio
-from .inference import ChainTrace, InferenceConfig, run_mh_layer
-from .model import GenerativeModel, HyperParams, generate_dataset
+from .inference import ChainTrace, InferenceConfig, check_init_k, run_mh_layer
+from .model import GenerativeModel, HyperParams, LayerHyper, as_int, generate_dataset
 
 __all__ = [
     "DEFAULT_INITS",
     "ExperimentConfig",
-    "InitStrategy",
     "SummaryRow",
     "SummaryStats",
     "TrialResult",
     "emit_report",
+    "init_name",
     "make_dataset",
     "run_experiment",
     "run_trial",
@@ -36,83 +36,63 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InitStrategy:
-    """How a chain picks its starting factor count."""
-
-    name: str
-    kind: str  # "fixed" or "uniform"
-    value: int = 0
-    lo: int = 0
-    hi: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("fixed", "uniform"):
-            raise ValueError(f"unknown init kind {self.kind!r}")
-        if self.kind == "uniform" and not 0 <= self.lo <= self.hi:
-            raise ValueError(f"bad uniform range ({self.lo}, {self.hi})")
-        if self.kind == "fixed" and self.value < 0:
-            raise ValueError("fixed init must be >= 0")
-
-    @classmethod
-    def fixed(cls, value: int) -> "InitStrategy":
-        return cls(name=f"fixed{value}", kind="fixed", value=value)
-
-    @classmethod
-    def uniform(cls, lo: int, hi: int) -> "InitStrategy":
-        return cls(name=f"random{lo}to{hi}", kind="uniform", lo=lo, hi=hi)
-
-    def init_k(self) -> int | tuple[int, int]:
-        return self.value if self.kind == "fixed" else (self.lo, self.hi)
+# Starting factor counts, as InferenceConfig.init_k takes them: an int
+# is a fixed start, a (lo, hi) pair a uniform draw from lo..hi.
+DEFAULT_INITS: tuple[int | tuple[int, int], ...] = (2, 10, (3, 10))
 
 
-DEFAULT_INITS: tuple[InitStrategy, ...] = (
-    InitStrategy.fixed(2),
-    InitStrategy.fixed(10),
-    InitStrategy.uniform(3, 10),
-)
+def init_name(init_k: int | tuple[int, int]) -> str:
+    """The report label of a starting count: ``fixed2`` or ``random3to10``."""
+    if isinstance(init_k, tuple):
+        lo, hi = init_k
+        return f"random{lo}to{hi}"
+    return f"fixed{init_k}"
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Study protocol: data dimensions, sweep grid, chain settings."""
+    """Study protocol: data dimensions, sweep grid, chain settings.
+
+    ``inits`` holds one starting factor count per init cell, in the form
+    of ``InferenceConfig.init_k``.  Every truth and every chain uses
+    ``layer_hyper``.
+    """
 
     n_dims: int = 16
     n_instances: int = 200
     k_true_values: tuple[int, ...] = (3, 4, 5, 6, 7, 8, 9, 10)
-    inits: tuple[InitStrategy, ...] = DEFAULT_INITS
+    inits: tuple[int | tuple[int, int], ...] = DEFAULT_INITS
     iterations: int = 200
     replicates: int = 10
     burn_in: float = 0.75
     base_seed: int = 0
-    alpha_ibp: float = 3.0
-    ig_shape: float = 2.0
-    ig_scale: float = 1.0
-    sigma_top: float = 1.0
-    sigma_floor: float = 1e-6
-    gibbs_step_scale: float = 0.5
+    layer_hyper: LayerHyper = HyperParams().layer(0)
 
     def __post_init__(self) -> None:
-        if self.replicates < 1:
+        as_int(self.n_dims, "n_dims")
+        as_int(self.n_instances, "n_instances")
+        if as_int(self.replicates, "replicates") < 1:
             raise ValueError("replicates must be >= 1")
         if not self.k_true_values:
             raise ValueError("k_true_values must be nonempty")
         if not 0.0 <= self.burn_in < 1.0:
             raise ValueError("burn_in must lie in [0, 1)")
-        if self.iterations < 1:
+        if as_int(self.iterations, "iterations") < 1:
             raise ValueError("iterations must be >= 1")
         if not self.inits:
             raise ValueError("at least one init strategy is required")
-        object.__setattr__(self, "k_true_values", tuple(int(k) for k in self.k_true_values))
-        object.__setattr__(self, "inits", tuple(self.inits))
+        object.__setattr__(self, "k_true_values", tuple(as_int(k, "k_true_values") for k in self.k_true_values))
+        object.__setattr__(self, "inits", tuple(check_init_k(k, "inits") for k in self.inits))
 
     def hyper(self, k_true: int) -> HyperParams:
+        """One-layer hyperparameters of the truth with ``k_true`` factors."""
+        lh = self.layer_hyper
         return HyperParams(
-            alpha_ibp_per_layer=(self.alpha_ibp,),
-            ig_shape_per_layer=(self.ig_shape,),
-            ig_scale_per_layer=(self.ig_scale,),
-            sigma_top=self.sigma_top,
-            sigma_floor=self.sigma_floor,
+            alpha_ibp_per_layer=lh.alpha_ibp,
+            ig_shape_per_layer=lh.ig_shape,
+            ig_scale_per_layer=lh.ig_scale,
+            sigma_top=lh.sigma_top,
+            sigma_floor=lh.sigma_floor,
             layer_widths=(k_true,),
         )
 
@@ -188,20 +168,14 @@ def run_trial(cfg: ExperimentConfig, k_true: int, init_index: int, replicate: in
     init = cfg.inits[init_index]
     seed_key = (cfg.base_seed, int(k_true), int(init_index), int(replicate))
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_key)))
-    icfg = InferenceConfig(
-        iterations=cfg.iterations,
-        init_k=init.init_k(),
-        seed=None,
-        gibbs_step_scale=cfg.gibbs_step_scale,
-    )
-    hyper = cfg.hyper(k_true).layer(0)
+    icfg = InferenceConfig(iterations=cfg.iterations, init_k=init, seed=None)
     started = time.perf_counter()
-    _, trace, _ = run_mh_layer(X, icfg, hyper, rng=rng)
+    _, trace = run_mh_layer(X, icfg, cfg.layer_hyper, rng=rng)
     elapsed = time.perf_counter() - started
     return TrialResult(
         k_true=k_true,
         init_index=init_index,
-        init_name=init.name,
+        init_name=init_name(init),
         replicate=replicate,
         seed_key=seed_key,
         trace=trace,
@@ -260,8 +234,9 @@ def emit_report(stats: SummaryStats, results: list[TrialResult], path, *,
                 cfg: ExperimentConfig | None = None, jobs: int | None = None) -> None:
     """Write summary.csv, per-trial trace CSVs and a manifest.
 
-    The manifest echoes the config, maps init indices to strategies,
-    records per-trial seeds and timings, and pins library versions.
+    The manifest echoes the config, with its layer hyperparameters in a
+    ``hyper`` block, maps init indices to strategies, records per-trial
+    seeds and timings, and pins library versions.
     Timings vary run to run; every CSV body is a pure function of the
     config and seed.
     """
@@ -283,12 +258,14 @@ def emit_report(stats: SummaryStats, results: list[TrialResult], path, *,
         "kind": "factor-recovery-experiment",
         "version": 1,
         "config": None if cfg is None else {
-            f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "inits"
+            f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("inits", "layer_hyper")
         },
+        "hyper": None if cfg is None else asdict(cfg.layer_hyper),
         "inits": None if cfg is None else [
-            {"index": i, "name": s.name, "kind": s.kind,
-             **({"value": s.value} if s.kind == "fixed" else {"lo": s.lo, "hi": s.hi})}
-            for i, s in enumerate(cfg.inits)
+            {"index": i, "name": init_name(k),
+             **({"kind": "uniform", "lo": k[0], "hi": k[1]} if isinstance(k, tuple)
+                else {"kind": "fixed", "value": k})}
+            for i, k in enumerate(cfg.inits)
         ],
         "jobs": jobs,
         "trials": [

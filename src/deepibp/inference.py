@@ -28,6 +28,7 @@ __all__ = [
     "MoveStats",
     "accept_prob_add",
     "accept_prob_delete",
+    "check_init_k",
     "gibbs_sweep",
     "gibbs_update_factor",
     "gibbs_update_weight",
@@ -58,36 +59,44 @@ class MoveStats:
                 raise AssertionError(f"{kind}: accepted exceeds proposed")
 
 
+def check_init_k(init_k, name: str = "init_k") -> int | tuple[int, int]:
+    """Validate a starting factor count: an int >= 0 or an inclusive (lo, hi) pair.
+
+    Returns the int, or the pair as a tuple; ``name`` labels the errors.
+    """
+    if isinstance(init_k, (list, tuple)):
+        if len(init_k) != 2:
+            raise ValueError(f"{name} range must be a (lo, hi) pair, got {init_k!r}")
+        lo, hi = (model.as_int(v, name) for v in init_k)
+        if not 0 <= lo <= hi:
+            raise ValueError(f"bad {name} range ({lo}, {hi})")
+        return lo, hi
+    k = model.as_int(init_k, name)
+    if k < 0:
+        raise ValueError(f"{name} must be >= 0")
+    return k
+
+
 @dataclass(frozen=True)
 class InferenceConfig:
     """Knobs for one chain.
 
     ``init_k`` is either a fixed integer or an inclusive (lo, hi) pair
-    drawn uniformly at chain start.  ``gibbs_step_scale`` multiplies
-    the natural scale of each random-walk proposal.
+    drawn uniformly at chain start.
     """
 
     iterations: int = 200
     init_k: int | tuple[int, int] = 2
     seed: int | None = 0
-    gibbs_step_scale: float = 0.5
     layerwise_outer_loops: int = 5
     convergence_tol: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.iterations < 0:
+        if model.as_int(self.iterations, "iterations") < 0:
             raise ValueError("iterations must be >= 0")
-        if self.gibbs_step_scale <= 0.0:
-            raise ValueError("gibbs_step_scale must be > 0")
-        if self.layerwise_outer_loops < 1:
+        if model.as_int(self.layerwise_outer_loops, "layerwise_outer_loops") < 1:
             raise ValueError("layerwise_outer_loops must be >= 1")
-        if isinstance(self.init_k, int):
-            if self.init_k < 0:
-                raise ValueError("init_k must be >= 0")
-        else:
-            lo, hi = self.init_k
-            if not 0 <= lo <= hi:
-                raise ValueError(f"bad init_k range ({lo}, {hi})")
+        object.__setattr__(self, "init_k", check_init_k(self.init_k))
 
     def draw_init_k(self, rng: np.random.Generator) -> int:
         if isinstance(self.init_k, int):
@@ -179,18 +188,12 @@ class ChainState:
         return WeightLayer(mask=self.mask, slab=self.slab)
 
     # -- caches --------------------------------------------------------
-    def _prior_sigma_rows(self, n_rows: int) -> np.ndarray:
-        lh = self.layer_hyper
-        if self.parent_context is None:
-            return np.full((n_rows, self.T), lh.sigma_top)
-        return self.parent_context.sigma_rows(n_rows, lh.sigma_top, lh.sigma_floor)
-
     def refresh(self) -> None:
         """Recompute every cache from the primary arrays."""
         self.m = self.mask.sum(axis=0, dtype=np.int64)
         self.S = (self.mask * self.slab) @ self.Y
-        self.sigma_y = self._prior_sigma_rows(self.K)
-        self.log_joint_cached = model.log_joint(self.X, self, self.layer_hyper)
+        self.sigma_y = model.factor_prior_sigma(self.K, self.T, self.layer_hyper, self.parent_context)
+        self.log_joint_cached = model.log_joint(self)
 
     def check_consistency(self, atol: float = 1e-8) -> None:
         """Assert the caches match a fresh recomputation."""
@@ -198,7 +201,7 @@ class ChainState:
         np.testing.assert_allclose(self.S, (self.mask * self.slab) @ self.Y, atol=1e-10)
         if np.any((self.mask == 0) & (self.slab != 0.0)):
             raise AssertionError("slab must be zero wherever the mask is zero")
-        fresh = model.log_joint(self.X, self, self.layer_hyper)
+        fresh = model.log_joint(self)
         if abs(fresh - self.log_joint_cached) > atol:
             raise AssertionError(
                 f"cached log-joint {self.log_joint_cached} != fresh {fresh}"
@@ -335,7 +338,7 @@ def accept_prob_delete(state: ChainState, k: int) -> float:
 
 def _apply_add(state: ChainState, rng: np.random.Generator) -> None:
     """Append an empty factor: zero mask/slab column, prior-drawn Y row."""
-    sigma_new = state._prior_sigma_rows(state.K + 1)[-1]
+    sigma_new = model.factor_prior_sigma(state.K + 1, state.T, state.layer_hyper, state.parent_context)[-1]
     y_new = sigma_new * rng.standard_normal(state.T)
     state.mask = np.hstack([state.mask, np.zeros((state.N, 1), dtype=np.int8)])
     state.slab = np.hstack([state.slab, np.zeros((state.N, 1))])
@@ -394,6 +397,11 @@ def _dimension_move(
 
 # -- weight kernel ------------------------------------------------------
 
+# Random-walk proposals on a weight or a factor step by this multiple of
+# the entry's natural scale: the predictive t scale or the prior std.
+_STEP_SCALE = 0.5
+
+
 def _row_loglik(x_row: np.ndarray, s_row: np.ndarray, floor: float) -> float:
     """Row log-likelihood without its -T/2 log(2 pi) term, which cancels in every ratio."""
     sigma = np.maximum(np.abs(s_row), floor)
@@ -450,13 +458,7 @@ def _loglik_rows(
     return -np.log(sigma).sum(axis=1) - 0.5 * z2.sum(axis=1)
 
 
-def gibbs_update_weight(
-    state: ChainState,
-    n: int,
-    k: int,
-    rng: np.random.Generator,
-    step_scale: float = 0.5,
-) -> float:
+def gibbs_update_weight(state: ChainState, n: int, k: int, rng: np.random.Generator) -> float:
     """Resample weight (n, k) from its full conditional by MH-within-Gibbs.
 
     The conditional is the data likelihood of row n times the entry's
@@ -580,7 +582,7 @@ def gibbs_update_weight(
         return 0.0
     # Random walk on the active value.
     stats.weight_proposed += 1
-    w_star = w_cur + step_scale * t_scale * rng.standard_normal()
+    w_star = w_cur + _STEP_SCALE * t_scale * rng.standard_normal()
     if w_star != 0.0:
         s_star = base_row + w_star * y_row
         ll_star = _row_loglik(x_row, s_star, floor)
@@ -605,13 +607,7 @@ def gibbs_update_weight(
 _FACTOR_SUBSTEPS = 4
 
 
-def _factor_row_update(
-    state: ChainState,
-    k: int,
-    ts: np.ndarray,
-    rng: np.random.Generator,
-    step_scale: float,
-) -> None:
+def _factor_row_update(state: ChainState, k: int, ts: np.ndarray, rng: np.random.Generator) -> None:
     """MH update of Y[k, ts] for the chosen instances, vectorised.
 
     Instances are conditionally independent given the weights and the
@@ -625,7 +621,7 @@ def _factor_row_update(
     rows = np.flatnonzero(state.mask[:, k])
     floor = state.layer_hyper.sigma_floor
     if len(ts) == 1:
-        _factor_entry_update(state, k, int(ts[0]), rows, floor, rng, step_scale)
+        _factor_entry_update(state, k, int(ts[0]), rows, floor, rng)
         return
     stats = state.stats
     n_ts = len(ts)
@@ -663,7 +659,7 @@ def _factor_row_update(
     cur_ll = np.where(accept, star_ll, cur_ll)
     stats.factor_accepted += int(np.count_nonzero(accept))
 
-    step = step_scale * sig_prior
+    step = _STEP_SCALE * sig_prior
     cur_prior = 0.5 * (y_cur / sig_prior) ** 2
     for _ in range(_FACTOR_SUBSTEPS):
         y_star = y_cur + step * rng.standard_normal(n_ts)
@@ -686,7 +682,6 @@ def _factor_entry_update(
     rows: np.ndarray,
     floor: float,
     rng: np.random.Generator,
-    step_scale: float,
 ) -> None:
     """_factor_row_update for the one instance t, on Python floats.
 
@@ -728,7 +723,7 @@ def _factor_entry_update(
         y_cur, cur_ll = y_star, star_ll
         stats.factor_accepted += 1
 
-    step = step_scale * sig
+    step = _STEP_SCALE * sig
     cur_prior = 0.5 * (y_cur / sig) ** 2
     for _ in range(_FACTOR_SUBSTEPS):
         y_star = y_cur + step * rng.standard_normal()
@@ -742,40 +737,30 @@ def _factor_entry_update(
     state.S[rows, t] = [b + w * y_cur for b, w in zip(base, w_col)]
 
 
-def gibbs_update_factor(
-    state: ChainState,
-    k: int,
-    t: int,
-    rng: np.random.Generator,
-    step_scale: float = 0.5,
-) -> float:
+def gibbs_update_factor(state: ChainState, k: int, t: int, rng: np.random.Generator) -> float:
     """Resample factor entry (k, t) from its full conditional.
 
     The target is the instance-t likelihood of the linked dimensions
     times the entry's N(0, sigma_y^2) prior; random-walk proposals at
-    ``step_scale`` times the prior std are accepted by the exact ratio.
+    half the prior std are accepted by the exact ratio.
     Returns the entry's new value.
     """
     if not (0 <= k < state.K and 0 <= t < state.T):
         raise IndexError(f"factor entry ({k}, {t}) out of range")
-    _factor_row_update(state, k, np.array([t]), rng, step_scale)
+    _factor_row_update(state, k, np.array([t]), rng)
     return float(state.Y[k, t])
 
 
 # -- sweeps and drivers --------------------------------------------------
 
-def gibbs_sweep(
-    state: ChainState,
-    rng: np.random.Generator,
-    step_scale: float = 0.5,
-) -> None:
+def gibbs_sweep(state: ChainState, rng: np.random.Generator) -> None:
     """One fixed-dimension sweep: all weights row-major, then all factors."""
     for n in range(state.N):
         for k in range(state.K):
-            gibbs_update_weight(state, n, k, rng, step_scale)
+            gibbs_update_weight(state, n, k, rng)
     all_ts = np.arange(state.T)
     for k in range(state.K):
-        _factor_row_update(state, k, all_ts, rng, step_scale)
+        _factor_row_update(state, k, all_ts, rng)
     state.refresh()
 
 
@@ -783,7 +768,7 @@ def resample_data(state: ChainState, rng: np.random.Generator) -> None:
     """Redraw the data matrix from the current weights and factors."""
     sigma = np.maximum(np.abs(state.S), state.layer_hyper.sigma_floor)
     state.X = sigma * rng.standard_normal(state.X.shape)
-    state.log_joint_cached = model.log_joint(state.X, state, state.layer_hyper)
+    state.log_joint_cached = model.log_joint(state)
 
 
 def run_mh_layer(
@@ -793,13 +778,14 @@ def run_mh_layer(
     parent_context: ParentContext | None = None,
     rng: np.random.Generator | None = None,
     initial_state: ChainState | None = None,
-) -> tuple[ChainState, ChainTrace, MoveStats]:
+) -> tuple[ChainState, ChainTrace]:
     """Run one layer's chain: dimension moves, weight sweep, factor sweep.
 
     Per iteration, each data row proposes one dimension move against
     the cycling column cursor, then every weight and factor entry is
     resampled.  The trace records K, the refreshed log-joint and the
-    per-iteration accepted add/delete counts.  ``hyper`` seeds a chain
+    per-iteration accepted add/delete counts; the state's ``stats``
+    holds the chain's proposal and acceptance counters.  ``hyper`` seeds a chain
     drawn from the prior; a chain resumed from ``initial_state`` keeps
     that state's ``layer_hyper``.
     """
@@ -818,30 +804,26 @@ def run_mh_layer(
         a0, d0 = state.stats.add_accepted, state.stats.delete_accepted
         for i in range(state.N):
             cursor = _dimension_move(state, i, rng, cursor)
-        gibbs_sweep(state, rng, cfg.gibbs_step_scale)
+        gibbs_sweep(state, rng)
         ks[r] = state.K
         ljs[r] = state.log_joint_cached
         adds[r] = state.stats.add_accepted - a0
         dels[r] = state.stats.delete_accepted - d0
     trace = ChainTrace(k=ks, log_joint=ljs, accepted_adds=adds, accepted_deletes=dels)
-    return state, trace, state.stats
+    return state, trace
 
 
-def _layerwise_total(states: list[ChainState], X: np.ndarray) -> float:
+def _layerwise_total(states: list[ChainState]) -> float:
     """Joint log-probability of the whole stack without double counting.
 
     Each layer's likelihood term prices the factors below it, so the
     per-layer factor-prior terms are dropped except at the very top.
     """
     total = 0.0
-    data = X
-    for ell, st in enumerate(states):
-        terms = model.log_joint_terms(data, st, st.layer_hyper)
+    for st in states:
+        terms = model.log_joint_terms(st)
         total += terms.log_lik + terms.log_mask_prior + terms.log_slab_prior + terms.log_k_prior
-        if ell == len(states) - 1:
-            total += terms.log_y_prior
-        data = st.Y
-    return total
+    return total + terms.log_y_prior
 
 
 def run_layerwise(
@@ -871,7 +853,7 @@ def run_layerwise(
         raise ValueError("depth must be >= 1")
     X = model.as_factor_matrix(X)
     if depth == 1:
-        state, trace, _ = run_mh_layer(X, cfg, hyper.layer(0), None, rng=np.random.default_rng(cfg.seed))
+        state, trace = run_mh_layer(X, cfg, hyper.layer(0), None, rng=np.random.default_rng(cfg.seed))
         if trace_sink is not None:
             trace_sink(0, 0, trace)
         return [state]
@@ -891,14 +873,14 @@ def run_layerwise(
                 warm.rebind(data, parent)
             else:
                 warm = None
-            state, trace, _ = run_mh_layer(
+            state, trace = run_mh_layer(
                 data, cfg, hyper.layer(min(ell, hyper.num_layers - 1)), parent,
                 rng=rng, initial_state=warm,
             )
             states[ell] = state
             if trace_sink is not None:
                 trace_sink(outer, ell, trace)
-        total = _layerwise_total(states, X)
+        total = _layerwise_total(states)
         if outer > 0 and total - prev_total < cfg.convergence_tol:
             break
         prev_total = total

@@ -16,6 +16,7 @@ prior on the number of factors; each term is exposed separately.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ __all__ = [
     "ParentContext",
     "WeightLayer",
     "as_factor_matrix",
+    "as_int",
+    "factor_prior_sigma",
     "gaussian_loglik",
     "generate_dataset",
     "log_joint",
@@ -55,6 +58,14 @@ def as_factor_matrix(X: FactorMatrix) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("factor matrix contains NaN or Inf")
     return X
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as an int; a float (even 2.0), string or None raises ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _as_layer_tuple(value, num_layers: int, name: str) -> tuple[float, ...]:
@@ -111,7 +122,8 @@ class HyperParams:
     layer_widths: tuple[int, ...] = (3,)
 
     def __post_init__(self) -> None:
-        widths = tuple(int(k) for k in np.atleast_1d(self.layer_widths))
+        raw = self.layer_widths
+        widths = tuple(as_int(k, "layer_widths") for k in (raw if np.ndim(raw) else [raw]))
         if not widths:
             raise ValueError("layer_widths must name at least one layer")
         if any(k < 0 for k in widths):
@@ -343,6 +355,18 @@ class ParentContext:
         return out
 
 
+def factor_prior_sigma(
+    n_rows: int, T: int, hyper: LayerHyper, parent: ParentContext | None
+) -> np.ndarray:
+    """Prior stds of ``n_rows`` factor rows over T instances, shape (n_rows, T).
+
+    Without a parent context every row has std sigma_top.
+    """
+    if parent is None:
+        return np.full((n_rows, T), hyper.sigma_top)
+    return parent.sigma_rows(n_rows, hyper.sigma_top, hyper.sigma_floor)
+
+
 def gaussian_loglik(X: np.ndarray, sigma) -> float:
     """Sum of centred normal log-densities with per-entry stds."""
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), X.shape)
@@ -467,20 +491,20 @@ class JointTerms:
         )
 
 
-def log_joint_terms(X: FactorMatrix, state, hyper) -> JointTerms:
+def log_joint_terms(state) -> JointTerms:
     """Evaluate the four components of the single-layer log-joint.
 
-    ``state`` needs attributes ``weights`` (a WeightLayer), ``Y`` and
-    optionally ``parent_context``; a ChainState qualifies.  ``hyper``
-    may be a HyperParams (its bottom layer is used) or a LayerHyper.
+    ``state`` is a ChainState: the data ``X``, the factors ``Y``, the
+    ``weights`` (a WeightLayer), the ``layer_hyper`` it is priced under
+    and its ``parent_context`` (None at the top of a stack).
 
     The weight prior marginalizes both the per-column inclusion
     probabilities (Beta-Bernoulli mask marginal) and the per-column
     slab variances (Student-t mass over the active slab values); the
     factor count follows Poisson(alpha' H_N).
     """
-    lh = hyper.layer(0) if isinstance(hyper, HyperParams) else hyper
-    X = as_factor_matrix(X)
+    lh = state.layer_hyper
+    X = as_factor_matrix(state.X)
     layer = state.weights
     Y = as_factor_matrix(state.Y) if layer.mask.shape[1] else np.zeros((0, X.shape[1]))
     N, K = layer.mask.shape
@@ -490,11 +514,7 @@ def log_joint_terms(X: FactorMatrix, state, hyper) -> JointTerms:
     sigma_x = propagate_sigma_matrix(layer.weights, Y, lh.sigma_floor)
     log_lik = gaussian_loglik(X, sigma_x)
 
-    parent = getattr(state, "parent_context", None)
-    if parent is None:
-        sigma_y = np.full((K, X.shape[1]), lh.sigma_top)
-    else:
-        sigma_y = parent.sigma_rows(K, lh.sigma_top, lh.sigma_floor)
+    sigma_y = factor_prior_sigma(K, X.shape[1], lh, state.parent_context)
     log_y_prior = gaussian_loglik(Y, sigma_y) if K else 0.0
 
     log_mask_prior = logprob_mask_marginal(layer.mask, lh.alpha_ibp)
@@ -515,6 +535,6 @@ def log_joint_terms(X: FactorMatrix, state, hyper) -> JointTerms:
     )
 
 
-def log_joint(X: FactorMatrix, state, hyper) -> float:
+def log_joint(state) -> float:
     """Total single-layer log-joint; see ``log_joint_terms``."""
-    return log_joint_terms(X, state, hyper).total
+    return log_joint_terms(state).total

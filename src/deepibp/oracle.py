@@ -334,7 +334,7 @@ def weight_kernel_tv(kept: int = 100_000, thin: int = 5, n_bins: int = 24,
     draws = np.empty(kept)
     for j in range(kept):
         for _ in range(thin):
-            gibbs_update_weight(state, n0, k0, rng, step_scale=0.5)
+            gibbs_update_weight(state, n0, k0, rng)
         draws[j] = state.mask[n0, k0] * state.slab[n0, k0]
     return _grid_tv(draws, grid, log_d, log_atom, n_bins)
 
@@ -371,7 +371,7 @@ def factor_kernel_tv(kept: int = 100_000, thin: int = 5, n_bins: int = 24,
     draws = np.empty(kept)
     for j in range(kept):
         for _ in range(thin):
-            gibbs_update_factor(state, k0, t0, rng, step_scale=0.5)
+            gibbs_update_factor(state, k0, t0, rng)
         draws[j] = state.Y[k0, t0]
     return _grid_tv(draws, grid, logtarget(grid), -math.inf, n_bins)
 

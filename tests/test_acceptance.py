@@ -245,7 +245,7 @@ def test_criterion_8_add_delete_reciprocity():
             structure = -math.log(small.K + 1.0)
         else:
             structure = -math.log(small.K + 1.0) - math.log(small.K_plus / small.K)
-        direct = model.log_joint(X, large, hyper) - model.log_joint(X, small, hyper)
+        direct = model.log_joint(large) - model.log_joint(small)
         new_row_prior = model.gaussian_loglik(y_new.reshape(1, T), sigma_row.reshape(1, T))
         worst_joint = max(worst_joint, abs((r_add - structure) - (direct - new_row_prior)))
 

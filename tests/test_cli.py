@@ -180,6 +180,36 @@ def test_infer_missing_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_infer_depth_zero_exits_2(tmp_path, capsys):
+    data = _generated_data(tmp_path)
+    rc = main(["infer", data, "--out", str(tmp_path / "x"), "--depth", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: --depth must be >= 1, got 0\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("infer", "inference", "iterations", 2.5),
+    ("infer", "inference", "init_k", [2, 4.5]),
+    ("generate", "model", "layer_widths", [2.5]),
+    ("experiment", "experiment", "replicates", 1.5),
+    ("experiment", "experiment", "k_true_values", [2.7]),
+    ("experiment", "experiment", "inits", [{"kind": "fixed", "value": 2.5}]),
+    ("experiment", "experiment", "inits", [{"kind": "uniform", "lo": 2, "hi": 4.5}]),
+])
+def test_non_integer_count_exits_2(tmp_path, capsys, command, section, key, value):
+    cfg = _write_config(tmp_path, {section: {key: value}})
+    args = [command, "--config", cfg, "--out", str(tmp_path / "x")]
+    if command == "infer":
+        args.insert(1, _generated_data(tmp_path))
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad '{section}' section: {key} must be an integer")
+    assert not (tmp_path / "x").exists()
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     data = _generated_data(tmp_path)
     cfg = _write_config(tmp_path, {"inference": {"iterations": -3}}, name="neg.json")
@@ -221,6 +251,31 @@ def test_experiment_report_layout(tmp_path, capsys):
     manifest = dataio.read_json(out / "manifest.json")
     assert manifest["config"]["base_seed"] == 11
     assert manifest["inits"][1] == {"index": 1, "name": "random2to4", "kind": "uniform", "lo": 2, "hi": 4}
+
+
+def test_experiment_reads_the_model_section(tmp_path):
+    runs = {}
+    for name, doc in (("default", TINY_EXPERIMENT),
+                      ("sparse", {**TINY_EXPERIMENT, "model": {"alpha_ibp_per_layer": [0.2]}})):
+        out = tmp_path / name
+        assert main(["experiment", "--config", _write_config(tmp_path, doc, f"{name}.json"),
+                     "--out", str(out), "--seed", "11"]) == 0
+        runs[name] = out
+    manifests = {name: dataio.read_json(out / "manifest.json") for name, out in runs.items()}
+    assert manifests["sparse"]["hyper"]["alpha_ibp"] == 0.2
+    assert manifests["default"]["hyper"]["alpha_ibp"] == 3.0
+    assert "alpha_ibp" not in manifests["sparse"]["config"]
+    traces = {name: [p.read_bytes() for p in sorted((out / "traces").iterdir())]
+              for name, out in runs.items()}
+    assert all(a != b for a, b in zip(traces["default"], traces["sparse"]))
+
+
+def test_experiment_two_layer_model_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {**TINY_EXPERIMENT, "model": {"layer_widths": [3, 2]}})
+    rc = main(["experiment", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "names 2 layers" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_experiment_bad_init_kind_exits_2(tmp_path, capsys):
@@ -296,6 +351,16 @@ def test_import_loads_no_scipy():
                           timeout=60, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+@pytest.mark.parametrize(
+    "demo", sorted(p.name for p in (Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+)
+def test_demo_runs(demo):
+    path = Path(__file__).resolve().parents[1] / "demos" / demo
+    proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True,
+                          timeout=300, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_invocation_smoke():

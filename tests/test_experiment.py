@@ -7,9 +7,9 @@ from deepibp import dataio
 from deepibp.experiment import (
     DEFAULT_INITS,
     ExperimentConfig,
-    InitStrategy,
     TrialResult,
     emit_report,
+    init_name,
     make_dataset,
     make_truth,
     point_estimate,
@@ -19,6 +19,7 @@ from deepibp.experiment import (
     trace_filename,
 )
 from deepibp.inference import ChainTrace
+from deepibp.model import HyperParams, LayerHyper
 
 
 def _tiny_cfg(**overrides):
@@ -26,7 +27,7 @@ def _tiny_cfg(**overrides):
         n_dims=6,
         n_instances=12,
         k_true_values=(2, 3),
-        inits=(InitStrategy.fixed(2), InitStrategy.fixed(4)),
+        inits=(2, 4),
         iterations=6,
         replicates=2,
         base_seed=42,
@@ -53,23 +54,21 @@ def _fake_result(k_true, init_index, init_name, replicate, k_hat):
 # -- init strategies ---------------------------------------------------------
 
 def test_init_strategy_names():
-    assert InitStrategy.fixed(2).name == "fixed2"
-    assert InitStrategy.uniform(3, 10).name == "random3to10"
-    assert InitStrategy.fixed(7).init_k() == 7
-    assert InitStrategy.uniform(3, 10).init_k() == (3, 10)
+    assert init_name(2) == "fixed2"
+    assert init_name((3, 10)) == "random3to10"
+    # Inits are init_k values; a range given as a list becomes a pair.
+    assert _tiny_cfg(inits=(7, [3, 10])).inits == (7, (3, 10))
 
 
 def test_init_strategy_validation():
-    with pytest.raises(ValueError):
-        InitStrategy(name="x", kind="gaussian")
-    with pytest.raises(ValueError):
-        InitStrategy.uniform(5, 2)
-    with pytest.raises(ValueError):
-        InitStrategy.fixed(-1)
+    for bad in ((5, 2), -1, 2.5, (3, 4.5), (1, 2, 3), "2"):
+        with pytest.raises(ValueError, match="inits"):
+            _tiny_cfg(inits=(bad,))
 
 
 def test_default_inits():
-    assert [s.name for s in DEFAULT_INITS] == ["fixed2", "fixed10", "random3to10"]
+    assert [init_name(k) for k in DEFAULT_INITS] == ["fixed2", "fixed10", "random3to10"]
+    assert ExperimentConfig().inits == DEFAULT_INITS
 
 
 # -- configuration -----------------------------------------------------------
@@ -85,15 +84,21 @@ def test_experiment_config_validation():
         ExperimentConfig(iterations=0)
     with pytest.raises(ValueError):
         ExperimentConfig(inits=())
+    for key, bad in (("replicates", 1.5), ("iterations", 2.0), ("n_dims", 6.5),
+                     ("n_instances", "12"), ("k_true_values", (2.7,))):
+        with pytest.raises(ValueError, match=key):
+            _tiny_cfg(**{key: bad})
 
 
 def test_experiment_config_hyper():
-    cfg = _tiny_cfg(alpha_ibp=2.5, ig_shape=3.0)
-    hyper = cfg.hyper(5)
+    assert ExperimentConfig().layer_hyper == HyperParams().layer(0)
+    lh = LayerHyper(alpha_ibp=2.5, ig_shape=3.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-6)
+    hyper = _tiny_cfg(layer_hyper=lh).hyper(5)
     assert hyper.layer_widths == (5,)
     layer = hyper.layer(0)
     assert layer.alpha_ibp == 2.5
     assert layer.ig_shape == 3.0
+    assert layer == lh
 
 
 # -- data generation ---------------------------------------------------------
@@ -224,6 +229,9 @@ def test_emit_report_layout_and_rerun_identical(tmp_path):
     assert manifest["config"]["base_seed"] == 42
     assert manifest["config"]["k_true_values"] == [2, 3]
     assert [s["name"] for s in manifest["inits"]] == ["fixed2", "fixed4"]
+    assert manifest["hyper"] == {"alpha_ibp": 3.0, "ig_shape": 2.0, "ig_scale": 1.0,
+                                 "sigma_top": 1.0, "sigma_floor": 1e-6}
+    assert not set(manifest["hyper"]) & set(manifest["config"])
 
     # A fresh computation writes byte-identical CSV bodies.
     results2, stats2 = run_experiment(cfg, jobs=2)

@@ -44,11 +44,15 @@ def test_inference_config_validation():
     with pytest.raises(ValueError):
         InferenceConfig(iterations=-1)
     with pytest.raises(ValueError):
-        InferenceConfig(gibbs_step_scale=0.0)
-    with pytest.raises(ValueError):
         InferenceConfig(init_k=(5, 2))
     with pytest.raises(ValueError):
         InferenceConfig(init_k=-1)
+    for key, bad in (("iterations", 2.5), ("layerwise_outer_loops", 1.0),
+                     ("init_k", 2.5), ("init_k", (1, 2.5)), ("init_k", (1, 2, 3))):
+        with pytest.raises(ValueError, match=key):
+            InferenceConfig(**{key: bad})
+    # A range given as a list is normalised to the (lo, hi) pair.
+    assert InferenceConfig(init_k=[3, 10]).init_k == (3, 10)
 
 
 def test_inference_config_init_draw():
@@ -350,7 +354,7 @@ def test_resample_data_standardized_moments():
 def test_run_mh_layer_zero_iterations():
     rng = np.random.default_rng(17)
     X = rng.standard_normal((4, 6))
-    state, trace, stats = run_mh_layer(X, InferenceConfig(iterations=0, seed=1), HYPER)
+    state, trace = run_mh_layer(X, InferenceConfig(iterations=0, seed=1), HYPER)
     assert len(trace) == 0
     state.check_consistency()
 
@@ -359,11 +363,11 @@ def test_run_mh_layer_trace_and_stats():
     rng = np.random.default_rng(18)
     X = rng.standard_normal((6, 20))
     cfg = InferenceConfig(iterations=12, init_k=2, seed=5)
-    state, trace, stats = run_mh_layer(X, cfg, HYPER)
+    state, trace = run_mh_layer(X, cfg, HYPER)
     assert len(trace) == 12
     assert (trace.k >= 0).all()
     assert trace.k[-1] == state.K
-    stats.check()
+    state.stats.check()
     state.check_consistency()
     assert abs(trace.log_joint[-1] - state.log_joint_cached) < 1e-12
 
@@ -372,8 +376,8 @@ def test_run_mh_layer_seed_determinism():
     rng = np.random.default_rng(19)
     X = rng.standard_normal((5, 15))
     cfg = InferenceConfig(iterations=10, init_k=3, seed=7)
-    s1, t1, _ = run_mh_layer(X, cfg, HYPER)
-    s2, t2, _ = run_mh_layer(X, cfg, HYPER)
+    s1, t1 = run_mh_layer(X, cfg, HYPER)
+    s2, t2 = run_mh_layer(X, cfg, HYPER)
     np.testing.assert_array_equal(t1.k, t2.k)
     np.testing.assert_array_equal(t1.log_joint, t2.log_joint)
     np.testing.assert_array_equal(s1.mask, s2.mask)
@@ -388,7 +392,7 @@ def test_run_layerwise_depth_one_equals_single_layer():
     hyper = HyperParams(layer_widths=(3,))
     collected = []
     states = run_layerwise(X, 1, cfg, hyper, trace_sink=lambda o, l, t: collected.append((o, l, t)))
-    direct_state, direct_trace, _ = run_mh_layer(
+    direct_state, direct_trace = run_mh_layer(
         X, cfg, hyper.layer(0), None, rng=np.random.default_rng(cfg.seed)
     )
     assert len(states) == 1
@@ -418,7 +422,7 @@ def test_chain_over_no_rows_stays_at_k_zero():
     # No rows give the factor count a rate of alpha * H_0 = 0: K = 0 is
     # the only value with prior mass, whatever init_k asks for.
     cfg = InferenceConfig(iterations=3, init_k=3, seed=2)
-    state, trace, _ = run_mh_layer(np.zeros((0, 10)), cfg, HYPER)
+    state, trace = run_mh_layer(np.zeros((0, 10)), cfg, HYPER)
     assert state.K == 0
     assert (trace.k == 0).all()
     assert np.isfinite(trace.log_joint).all()

@@ -19,7 +19,7 @@ from deepibp.inference import ChainState, gibbs_sweep, gibbs_update_factor, _fac
 from deepibp.model import LayerHyper, ParentContext
 
 HYPER = LayerHyper(alpha_ibp=2.0, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-6)
-STEP = 0.5
+STEP = 0.5  # the library's fixed random-walk step scale
 
 # -- reference kernels ---------------------------------------------------------
 
@@ -214,7 +214,7 @@ def test_sweeps_follow_reference(N, T, K, parent):
     new, ref = _state(11, N, T, K, parent), _state(11, N, T, K, parent)
     rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(200):
-        gibbs_sweep(new, rng_new, STEP)
+        gibbs_sweep(new, rng_new)
         ref_sweep(ref, HYPER, rng_ref, STEP)
     assert new.stats.weight_accepted > 0 and new.stats.factor_accepted > 0
     _assert_same_chain(new, ref, rng_new, rng_ref)
@@ -225,14 +225,14 @@ def test_unlinked_column_redraw_follows_reference():
     new, ref = _state(12, N, T, K, unlinked=empty), _state(12, N, T, K, unlinked=empty)
     rng_new, rng_ref = np.random.default_rng(6), np.random.default_rng(6)
     # The prior-redraw branch, on a whole row and on one entry, then sweeps.
-    _factor_row_update(new, empty, np.arange(T), rng_new, STEP)
+    _factor_row_update(new, empty, np.arange(T), rng_new)
     ref_factor_row_update(ref, empty, np.arange(T), HYPER, rng_ref, STEP)
     for t in (0, 7, T - 1):
-        gibbs_update_factor(new, empty, t, rng_new, STEP)
+        gibbs_update_factor(new, empty, t, rng_new)
         ref_factor_row_update(ref, empty, np.array([t]), HYPER, rng_ref, STEP)
     assert new.m[empty] == 0
     for _ in range(200):
-        gibbs_sweep(new, rng_new, STEP)
+        gibbs_sweep(new, rng_new)
         ref_sweep(ref, HYPER, rng_ref, STEP)
     _assert_same_chain(new, ref, rng_new, rng_ref)
 
@@ -242,7 +242,7 @@ def test_single_entry_factor_updates_follow_reference():
     rng_new, rng_ref = np.random.default_rng(2025), np.random.default_rng(2025)
     for i in range(20_000):
         k, t = i % new.K, (i // new.K) % new.T
-        gibbs_update_factor(new, k, t, rng_new, STEP)
+        gibbs_update_factor(new, k, t, rng_new)
         ref_factor_row_update(ref, k, np.array([t]), ref.layer_hyper, rng_ref, STEP)
     assert 0 < new.stats.factor_accepted < new.stats.factor_proposed
     _assert_same_chain(new, ref, rng_new, rng_ref)
@@ -273,7 +273,7 @@ def test_early_rejection_skips_most_grids_and_keeps_the_chain(monkeypatch):
     rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
     calls = _count_grid_builds(monkeypatch)
     for _ in range(100):
-        gibbs_sweep(new, rng_new, STEP)
+        gibbs_sweep(new, rng_new)
         ref_sweep(ref, HYPER, rng_ref, STEP)
     assert calls["active"] > 1000
     assert 0 < calls["grid"] < calls["active"] / 2
@@ -354,7 +354,7 @@ def test_early_rejection_bound_never_falls_below_the_exact_ratio(monkeypatch):
             for log_u, accepts in sides:
                 trial = copy.deepcopy(state)
                 grids = calls["grid"]
-                inference.gibbs_update_weight(trial, n, k, _FirstUniform(math.exp(log_u), rng), STEP)
+                inference.gibbs_update_weight(trial, n, k, _FirstUniform(math.exp(log_u), rng))
                 assert trial.mask[n, k] == (0 if accepts else 1)
                 if accepts:
                     assert calls["grid"] == grids + 1

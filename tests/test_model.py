@@ -205,7 +205,7 @@ def _random_state_like(rng, N=5, K=3, T=8):
 def test_log_joint_terms_sum_to_total():
     rng = np.random.default_rng(15)
     state, hyper = _random_state_like(rng)
-    terms = log_joint_terms(state.X, state, hyper)
+    terms = log_joint_terms(state)
     parts = (
         terms.log_lik
         + terms.log_y_prior
@@ -214,7 +214,7 @@ def test_log_joint_terms_sum_to_total():
         + terms.log_k_prior
     )
     assert abs(terms.total - parts) < 1e-12
-    assert abs(log_joint(state.X, state, hyper) - terms.total) < 1e-12
+    assert abs(log_joint(state) - terms.total) < 1e-12
 
 
 def test_log_joint_no_factor_state_uses_floor_likelihood():
@@ -230,7 +230,7 @@ def test_log_joint_no_factor_state_uses_floor_likelihood():
         slab=np.zeros((3, 0)),
         layer_hyper=hyper,
     )
-    terms = log_joint_terms(X, state, hyper)
+    terms = log_joint_terms(state)
     expect = float(stats.norm.logpdf(X, scale=1e-6).sum())
     assert abs(terms.log_lik - expect) < 1e-8
     assert terms.log_y_prior == 0.0
@@ -254,7 +254,7 @@ def test_log_joint_likelihood_scales_with_instances():
             X=mats[-1], Y=mats[0], mask=gm.layers[0].mask, slab=gm.layers[0].slab,
             layer_hyper=lh,
         )
-        return log_joint_terms(mats[-1], st, lh).log_lik
+        return log_joint_terms(st).log_lik
 
     ratio = lik(long) / lik(short)
     assert abs(ratio - 2.0) < 0.1
@@ -263,7 +263,7 @@ def test_log_joint_likelihood_scales_with_instances():
 def test_log_joint_column_exchangeability():
     rng = np.random.default_rng(20)
     state, hyper = _random_state_like(rng)
-    base = log_joint(state.X, state, hyper)
+    base = log_joint(state)
     perm = rng.permutation(state.K)
 
     from deepibp.inference import ChainState
@@ -275,7 +275,7 @@ def test_log_joint_column_exchangeability():
         slab=state.slab[:, perm],
         layer_hyper=state.layer_hyper,
     )
-    assert abs(log_joint(state.X, permuted, hyper) - base) < 1e-9
+    assert abs(log_joint(permuted) - base) < 1e-9
 
 
 def test_slab_column_logmarginal_zero_count():
