@@ -17,8 +17,8 @@ from deepibp.ibp import (
     logprob_mask_ibp,
     logprob_mask_marginal,
     sample_ibp_sequential,
-    sample_mask_finite,
 )
+from deepibp.model import sample_weight_layer
 from deepibp.oracle import enumerate_masks
 
 
@@ -32,14 +32,15 @@ def main():
     print(f"finite marginal, N={N} K={K} alpha={alpha}: "
           f"sum over all {4 ** N} masks = {total:.12f}")
 
-    # Finite-K draws, reduced to left-ordered classes of their nonzero
-    # columns, converge to the process law as K grows.
+    # Finite-K masks, reduced to left-ordered classes of their nonzero
+    # columns, converge to the process law as K grows.  The slab
+    # hyperparameters do not affect the mask.
     print("\nfinite-K to process convergence (N=2, 40000 draws each):")
     target = {}
     for k_cols in (4, 16, 64):
         counts = {}
         for _ in range(40_000):
-            mask = sample_mask_finite(2, k_cols, alpha, rng)
+            mask = sample_weight_layer(2, k_cols, alpha, 2.0, 1.0, rng).mask
             mask = mask[:, mask.any(axis=0)]
             key = left_order_form(mask).key
             counts[key] = counts.get(key, 0) + 1

@@ -20,7 +20,6 @@ from .ibp import (
     logprob_mask_ibp,
     logprob_mask_marginal,
     sample_ibp_sequential,
-    sample_mask_finite,
 )
 from .model import (
     GenerativeModel,
@@ -39,8 +38,6 @@ from .inference import (
     ChainTrace,
     InferenceConfig,
     MoveStats,
-    accept_prob_add,
-    accept_prob_delete,
     gibbs_sweep,
     log_ratio_add,
     log_ratio_delete,
@@ -75,8 +72,6 @@ __all__ = [
     "ValidationReport",
     "WeightLayer",
     "__version__",
-    "accept_prob_add",
-    "accept_prob_delete",
     "emit_report",
     "generate_dataset",
     "gibbs_sweep",
@@ -93,7 +88,6 @@ __all__ = [
     "run_mh_layer",
     "run_validation",
     "sample_ibp_sequential",
-    "sample_mask_finite",
     "sample_weight_layer",
     "summarize",
 ]

@@ -12,9 +12,10 @@ Configs are JSON documents with up to three sections, ``model``,
 dataclasses; unknown sections or keys are rejected.  ``generate`` reads
 the model section and the data dimensions of the experiment section,
 ``infer`` the model and inference sections, and ``experiment`` the
-experiment section and the model section's single layer.  Every
-subcommand accepts ``--seed``; when omitted, a seed is drawn from system
-entropy and recorded in the JSON artifact so the run stays reproducible.
+experiment section and the model section's single layer.  All but
+``validate`` accept ``--seed``, a non-negative integer; when omitted, a
+seed is drawn from system entropy and recorded in the JSON artifact so
+the run stays reproducible.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O, parse, config or
 option error.
@@ -74,20 +75,9 @@ def load_config(path) -> dict:
     return doc
 
 
-def _coerced(section: dict, tuple_keys: tuple[str, ...]) -> dict:
-    out = dict(section)
-    for key in tuple_keys:
-        if key in out and isinstance(out[key], list):
-            out[key] = tuple(out[key])
-    return out
-
-
 def build_hyper(config: dict) -> HyperParams:
-    section = _coerced(config.get("model", {}), (
-        "alpha_ibp_per_layer", "ig_shape_per_layer", "ig_scale_per_layer", "layer_widths",
-    ))
     try:
-        return HyperParams(**section)
+        return HyperParams(**config.get("model", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'model' section: {exc}") from exc
 
@@ -119,7 +109,7 @@ def _parse_init(entry) -> int | tuple:
 
 
 def build_experiment(config: dict, seed: int, layer_hyper: LayerHyper) -> ExperimentConfig:
-    section = _coerced(config.get("experiment", {}), ("k_true_values",))
+    section = dict(config.get("experiment", {}))
     try:
         if "inits" in section:
             section["inits"] = tuple(_parse_init(e) for e in section["inits"])
@@ -131,6 +121,8 @@ def build_experiment(config: dict, seed: int, layer_hyper: LayerHyper) -> Experi
 def resolve_seed(seed: int | None) -> int:
     """The given seed, or one drawn from system entropy."""
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
         return int(seed)
     return int(np.random.SeedSequence().entropy) % (2 ** 63)
 
@@ -223,6 +215,10 @@ def cmd_experiment(args) -> int:
             f"experiment fits one layer per K_true, but the 'model' section names {hyper.num_layers} layers"
         )
     cfg = build_experiment(config, seed, hyper.layer(0))
+    if cfg.n_dims < 2:
+        raise ConfigError(
+            f"experiment needs n_dims >= 2, so that every true factor links two dimensions; got {cfg.n_dims}"
+        )
     results, stats = run_experiment(cfg, jobs=args.jobs)
     emit_report(stats, results, args.out, cfg=cfg, jobs=args.jobs)
     print(f"{len(results)} trials summarized in {Path(args.out) / 'summary.csv'}")
@@ -230,7 +226,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    report = oracle.run_validation(perturb=args.perturb)
+    report = oracle.run_validation()
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
@@ -266,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("validate", help="run the oracle agreement suite")
-    p.add_argument("--perturb", type=float, default=0.0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_validate)
 
     return parser

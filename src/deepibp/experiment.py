@@ -69,8 +69,10 @@ class ExperimentConfig:
     layer_hyper: LayerHyper = HyperParams().layer(0)
 
     def __post_init__(self) -> None:
-        as_int(self.n_dims, "n_dims")
-        as_int(self.n_instances, "n_instances")
+        if as_int(self.n_dims, "n_dims") < 1:
+            raise ValueError("n_dims must be >= 1")
+        if as_int(self.n_instances, "n_instances") < 1:
+            raise ValueError("n_instances must be >= 1")
         if as_int(self.replicates, "replicates") < 1:
             raise ValueError("replicates must be >= 1")
         if not self.k_true_values:
@@ -82,6 +84,8 @@ class ExperimentConfig:
         if not self.inits:
             raise ValueError("at least one init strategy is required")
         object.__setattr__(self, "k_true_values", tuple(as_int(k, "k_true_values") for k in self.k_true_values))
+        if min(self.k_true_values) < 0:
+            raise ValueError("k_true_values must be >= 0")
         object.__setattr__(self, "inits", tuple(check_init_k(k, "inits") for k in self.inits))
 
     def hyper(self, k_true: int) -> HyperParams:
@@ -110,10 +114,6 @@ class TrialResult:
     k_hat: float
     wall_seconds: float
 
-    @property
-    def k_trace(self) -> np.ndarray:
-        return self.trace.k
-
 
 @dataclass(frozen=True)
 class SummaryRow:
@@ -141,8 +141,11 @@ def make_truth(cfg: ExperimentConfig, k_true: int, rng: np.random.Generator) -> 
     A raw finite-prior draw often leaves mask columns empty or linked
     to a single dimension, in which case the dataset would not actually
     carry k_true recoverable factors; the draw is rejected until every
-    column drives at least two observed dimensions.
+    column drives at least two observed dimensions, which needs
+    ``cfg.n_dims >= 2`` whenever ``k_true > 0``.
     """
+    if k_true > 0 and cfg.n_dims < 2:
+        raise ValueError(f"{k_true} factors cannot each link two of {cfg.n_dims} dimensions")
     while True:
         truth = GenerativeModel.from_prior(cfg.hyper(k_true), cfg.n_dims, rng)
         if (truth.layers[-1].column_counts >= 2).all():

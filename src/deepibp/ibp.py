@@ -27,7 +27,6 @@ __all__ = [
     "logprob_mask_marginal",
     "logprob_mask_marginal_counts",
     "sample_ibp_sequential",
-    "sample_mask_finite",
 ]
 
 # Alias for an (N, K) array with values in {0, 1}.
@@ -206,20 +205,3 @@ def sample_ibp_sequential(N: int, alpha: float, rng: np.random.Generator) -> np.
         return np.zeros((N, 0), dtype=np.int8)
     return np.column_stack(cols)
 
-
-def sample_mask_finite(N: int, K: int, alpha: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw a mask from the finite law: p_k ~ Beta(alpha/K, 1) columns.
-
-    Inclusion probabilities are drawn by inverse CDF (U^(K/alpha)),
-    which stays exact for the tiny shape parameters large truncations
-    produce.  Returns an (N, K) int8 array that may contain zero
-    columns.
-    """
-    if N < 1 or K < 0:
-        raise ValueError("need N >= 1 and K >= 0")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if K == 0:
-        return np.zeros((N, 0), dtype=np.int8)
-    p = rng.random(K) ** (K / alpha)
-    return (rng.random((N, K)) < p).astype(np.int8)

@@ -19,15 +19,13 @@ import numpy as np
 
 from . import model
 from .ibp import harmonic_number, logprob_mask_marginal_counts
-from .model import LayerHyper, ParentContext, WeightLayer
+from .model import LayerHyper, ParentContext
 
 __all__ = [
     "ChainState",
     "ChainTrace",
     "InferenceConfig",
     "MoveStats",
-    "accept_prob_add",
-    "accept_prob_delete",
     "check_init_k",
     "gibbs_sweep",
     "gibbs_update_factor",
@@ -89,7 +87,6 @@ class InferenceConfig:
     init_k: int | tuple[int, int] = 2
     seed: int | None = 0
     layerwise_outer_loops: int = 5
-    convergence_tol: float = 1.0
 
     def __post_init__(self) -> None:
         if model.as_int(self.iterations, "iterations") < 0:
@@ -183,10 +180,6 @@ class ChainState:
     def K_plus(self) -> int:
         return int(np.count_nonzero(self.m))
 
-    @property
-    def weights(self) -> WeightLayer:
-        return WeightLayer(mask=self.mask, slab=self.slab)
-
     # -- caches --------------------------------------------------------
     def refresh(self) -> None:
         """Recompute every cache from the primary arrays."""
@@ -242,17 +235,15 @@ class ChainState:
                 _, _, mask[:, empty], slab[:, empty] = model._prior_columns(
                     N, empty.size, a, hyper.ig_shape, hyper.ig_scale, rng
                 )
-        state = cls(
+        sigma_y = model.factor_prior_sigma(k0, X.shape[1], hyper, parent_context)
+        return cls(
             X=X,
-            Y=np.zeros((k0, X.shape[1])),
+            Y=sigma_y * rng.standard_normal((k0, X.shape[1])),
             mask=mask,
             slab=slab * mask,
             layer_hyper=hyper,
             parent_context=parent_context,
         )
-        state.Y = state.sigma_y * rng.standard_normal((k0, X.shape[1]))
-        state.refresh()
-        return state
 
     def rebind(self, X: np.ndarray, parent_context: ParentContext | None) -> None:
         """Point the chain at new data / a new upper-layer context."""
@@ -324,18 +315,6 @@ def log_ratio_delete(state: ChainState, k: int) -> float:
     )
 
 
-def accept_prob_add(state: ChainState) -> float:
-    """Min-clamped acceptance probability of the add move."""
-    log_r = log_ratio_add(state)
-    return 1.0 if log_r >= 0.0 else math.exp(log_r)
-
-
-def accept_prob_delete(state: ChainState, k: int) -> float:
-    """Min-clamped acceptance probability of deleting unlinked factor ``k``."""
-    log_r = log_ratio_delete(state, k)
-    return 1.0 if log_r >= 0.0 else math.exp(log_r)
-
-
 def _apply_add(state: ChainState, rng: np.random.Generator) -> None:
     """Append an empty factor: zero mask/slab column, prior-drawn Y row."""
     sigma_new = model.factor_prior_sigma(state.K + 1, state.T, state.layer_hyper, state.parent_context)[-1]
@@ -384,12 +363,12 @@ def _dimension_move(
 
     if propose_delete is None:
         state.stats.add_proposed += 1
-        if rng.random() < accept_prob_add(state):
+        if rng.random() < math.exp(min(log_ratio_add(state), 0.0)):
             _apply_add(state, rng)
             state.stats.add_accepted += 1
     else:
         state.stats.delete_proposed += 1
-        if rng.random() < accept_prob_delete(state, propose_delete):
+        if rng.random() < math.exp(min(log_ratio_delete(state, propose_delete), 0.0)):
             _apply_delete(state, propose_delete)
             state.stats.delete_accepted += 1
     return cursor
@@ -400,6 +379,9 @@ def _dimension_move(
 # Random-walk proposals on a weight or a factor step by this multiple of
 # the entry's natural scale: the predictive t scale or the prior std.
 _STEP_SCALE = 0.5
+# run_layerwise stops its outer loop once a pass raises the stack's
+# log-joint by less than this many nats.
+_CONVERGENCE_TOL = 1.0
 
 
 def _row_loglik(x_row: np.ndarray, s_row: np.ndarray, floor: float) -> float:
@@ -839,7 +821,7 @@ def run_layerwise(
     factors, and so on; repeats the whole pass up to
     ``cfg.layerwise_outer_loops`` times, re-inferring each layer under
     the latest upper-layer context, until the stack's total log-joint
-    improves by less than ``cfg.convergence_tol``.  With depth 1 this
+    improves by less than 1 nat (_CONVERGENCE_TOL).  With depth 1 this
     is exactly one run_mh_layer call.
 
     Layer ``ell`` uses ``hyper.layer(ell)``; layers above the configured
@@ -881,7 +863,7 @@ def run_layerwise(
             if trace_sink is not None:
                 trace_sink(outer, ell, trace)
         total = _layerwise_total(states)
-        if outer > 0 and total - prev_total < cfg.convergence_tol:
+        if outer > 0 and total - prev_total < _CONVERGENCE_TOL:
             break
         prev_total = total
     # Lower layers were fit against upper-layer snapshots that the later

@@ -225,10 +225,6 @@ class GenerativeModel:
                 f"layer widths {widths} (bottom-up) do not match hyper.layer_widths {self.hyper.layer_widths}"
             )
 
-    @property
-    def n_dims(self) -> int:
-        return self.layers[-1].mask.shape[0]
-
     @classmethod
     def from_prior(cls, hyper: HyperParams, n_dims: int, rng: np.random.Generator) -> "GenerativeModel":
         """Draw every weight layer from its finite prior, bottom layer first."""
@@ -495,8 +491,8 @@ def log_joint_terms(state) -> JointTerms:
     """Evaluate the four components of the single-layer log-joint.
 
     ``state`` is a ChainState: the data ``X``, the factors ``Y``, the
-    ``weights`` (a WeightLayer), the ``layer_hyper`` it is priced under
-    and its ``parent_context`` (None at the top of a stack).
+    binary ``mask`` and its ``slab`` values, the ``layer_hyper`` it is
+    priced under and its ``parent_context`` (None at the top of a stack).
 
     The weight prior marginalizes both the per-column inclusion
     probabilities (Beta-Bernoulli mask marginal) and the per-column
@@ -505,22 +501,21 @@ def log_joint_terms(state) -> JointTerms:
     """
     lh = state.layer_hyper
     X = as_factor_matrix(state.X)
-    layer = state.weights
-    Y = as_factor_matrix(state.Y) if layer.mask.shape[1] else np.zeros((0, X.shape[1]))
-    N, K = layer.mask.shape
+    mask, slab = state.mask, state.slab
+    Y = as_factor_matrix(state.Y) if mask.shape[1] else np.zeros((0, X.shape[1]))
+    N, K = mask.shape
     if N != X.shape[0] or Y.shape != (K, X.shape[1]):
         raise ValueError("state shapes do not match the data matrix")
 
-    sigma_x = propagate_sigma_matrix(layer.weights, Y, lh.sigma_floor)
+    sigma_x = propagate_sigma_matrix(mask * slab, Y, lh.sigma_floor)
     log_lik = gaussian_loglik(X, sigma_x)
 
     sigma_y = factor_prior_sigma(K, X.shape[1], lh, state.parent_context)
     log_y_prior = gaussian_loglik(Y, sigma_y) if K else 0.0
 
-    log_mask_prior = logprob_mask_marginal(layer.mask, lh.alpha_ibp)
-    active = layer.mask.astype(bool)
-    m = layer.column_counts
-    sq = np.where(active, layer.slab, 0.0) ** 2
+    log_mask_prior = logprob_mask_marginal(mask, lh.alpha_ibp)
+    m = mask.sum(axis=0, dtype=np.int64)
+    sq = np.where(mask.astype(bool), slab, 0.0) ** 2
     log_slab_prior = sum(
         slab_column_logmarginal(float(sq[:, k].sum()), int(m[k]), lh.ig_shape, lh.ig_scale)
         for k in range(K)

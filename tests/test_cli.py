@@ -216,6 +216,23 @@ def test_bad_config_exits_2(tmp_path, capsys):
     rc = main(["infer", data, "--config", cfg, "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "bad 'inference' section" in capsys.readouterr().err
+    # The outer-loop tolerance is a fixed 1 nat, not a key.
+    cfg = _write_config(tmp_path, {"inference": {"convergence_tol": "abc"}}, name="tol.json")
+    rc = main(["infer", data, "--config", cfg, "--out", str(tmp_path / "x"), "--depth", "2"])
+    assert rc == 2
+    assert "unknown key(s) in section 'inference': convergence_tol" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "infer", "experiment"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    args = [command, "--out", str(tmp_path / "x"), "--seed", "-1"]
+    if command == "infer":
+        args.insert(1, _generated_data(tmp_path))
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "x").exists()
 
 
 # -- experiment ------------------------------------------------------------------
@@ -287,20 +304,48 @@ def test_experiment_bad_init_kind_exits_2(tmp_path, capsys):
     assert "unknown init kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, experiment, rc, message", [
+    ("generate", {"n_dims": -1}, 2, "n_dims must be >= 1"),
+    ("generate", {"n_dims": 0}, 2, "n_dims must be >= 1"),
+    ("generate", {"n_instances": 0}, 2, "n_instances must be >= 1"),
+    ("generate", {"n_dims": 1, "n_instances": 5}, 0, ""),
+    ("experiment", {"k_true_values": [-2]}, 2, "k_true_values must be >= 0"),
+    ("experiment", {"n_dims": 1}, 2, "experiment needs n_dims >= 2"),
+    ("experiment", {"n_dims": 0}, 2, "n_dims must be >= 1"),
+])
+def test_experiment_dimensions_checked(tmp_path, command, experiment, rc, message):
+    # A child process under a timeout, because a study with n_dims < 2
+    # once redrew its truth forever.
+    doc = {"experiment": {**TINY_EXPERIMENT["experiment"], **experiment}}
+    args = [command, "--config", _write_config(tmp_path, doc), "--out", str(tmp_path / "x"), "--seed", "3"]
+    proc = subprocess.run([sys.executable, "-m", "deepibp.cli", *args], capture_output=True, text=True,
+                          timeout=60, env=_child_env())
+    assert proc.returncode == rc, proc.stderr
+    if rc:
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x").exists()
+    else:
+        assert dataio.read_dataset_csv(tmp_path / "x" / "data.csv").shape == (1, 5)
+
+
 # -- validate --------------------------------------------------------------------
 
-def test_validate_passes_and_perturbation_is_caught(capsys):
+def test_validate_passes_and_perturbation_is_caught(capsys, request):
     rc = main(["validate"])
     out = capsys.readouterr().out
     assert rc == 0
     assert out.strip().endswith("all checks passed")
     assert all(line.startswith("ok   ") for line in out.strip().split("\n")[:-1])
 
-    rc = main(["validate", "--perturb", "1e-3"])
-    out = capsys.readouterr().out
+    request.getfixturevalue("spike_mass_too_high")
+    rc = main(["validate"])
+    lines = capsys.readouterr().out.strip().split("\n")
     assert rc == 1
-    assert "FAIL" in out
-    assert "validation FAILED" in out.strip().split("\n")[-1]
+    failing = [line for line in lines if line.startswith("FAIL")]
+    assert len(failing) == 1
+    assert failing[0].startswith("FAIL spike mass closed form vs quadrature:")
+    assert "validation FAILED" in lines[-1]
 
 
 # -- installed entry point ---------------------------------------------------------

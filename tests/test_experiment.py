@@ -1,5 +1,7 @@
 """Tests for the factor-count recovery study driver."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,10 @@ def _tiny_cfg(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("did not return within the alarm")
 
 
 def _fake_result(k_true, init_index, init_name, replicate, k_hat):
@@ -84,6 +90,10 @@ def test_experiment_config_validation():
         ExperimentConfig(iterations=0)
     with pytest.raises(ValueError):
         ExperimentConfig(inits=())
+    # Dimensions the study cannot draw data for.
+    for key, bad in (("n_dims", 0), ("n_dims", -1), ("n_instances", 0), ("k_true_values", (3, -2))):
+        with pytest.raises(ValueError, match=f"{key} must be >= "):
+            _tiny_cfg(**{key: bad})
     for key, bad in (("replicates", 1.5), ("iterations", 2.0), ("n_dims", 6.5),
                      ("n_instances", "12"), ("k_true_values", (2.7,))):
         with pytest.raises(ValueError, match=key):
@@ -111,6 +121,21 @@ def test_make_truth_columns_well_used():
         counts = truth.layers[-1].column_counts
         assert counts.shape == (k_true,)
         assert (counts >= 2).all()
+
+
+def test_make_truth_rejects_unlinkable_columns():
+    # One dimension cannot give any column two links; the redraw loop
+    # would never end, so make_truth must refuse.  The alarm turns a
+    # hang into a failure.
+    rng = np.random.default_rng(0)
+    signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(30)
+    try:
+        with pytest.raises(ValueError, match="cannot each link two"):
+            make_truth(_tiny_cfg(n_dims=1), 2, rng)
+        assert make_truth(_tiny_cfg(n_dims=1), 0, rng).layers[-1].shape == (1, 0)
+    finally:
+        signal.alarm(0)
 
 
 def test_make_dataset_shape_and_determinism():
@@ -240,8 +265,3 @@ def test_emit_report_layout_and_rerun_identical(tmp_path):
     assert (out2 / "summary.csv").read_text() == summary
     for name in trace_files:
         assert (out2 / "traces" / name).read_text() == (out1 / "traces" / name).read_text()
-
-
-def test_trial_k_trace_property():
-    r = _fake_result(3, 0, "fixed2", 0, 4.0)
-    np.testing.assert_array_equal(r.k_trace, r.trace.k)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from deepibp import ibp
+from deepibp import ibp, model
 from deepibp.oracle import enumerate_masks, mc_lof_histogram
 
 
@@ -147,33 +147,16 @@ def test_sequential_sampler_tiny_alpha_rarely_creates_columns():
     assert np.mean(np.asarray(cols) == 0) > 0.99
 
 
-def test_finite_sampler_inclusion_frequency():
-    # With alpha equal to K the per-entry inclusion probability is 1/2.
-    rng = np.random.default_rng(7)
-    K = 8
-    draws = 100_000 // (4 * K)
-    hits = sum(int(ibp.sample_mask_finite(4, K, float(K), rng).sum()) for _ in range(draws))
-    n = draws * 4 * K
-    se = math.sqrt(0.25 / n)
-    assert abs(hits / n - 0.5) < 3.0 * se
-
-
-def test_finite_sampler_edge_shapes():
-    rng = np.random.default_rng(8)
-    assert ibp.sample_mask_finite(3, 0, 1.0, rng).shape == (3, 0)
-    with pytest.raises(ValueError):
-        ibp.sample_mask_finite(0, 2, 1.0, rng)
-
-
 def test_finite_law_approaches_process_law_in_left_ordered_form():
     # Large finite truncation vs the sequential process sampler, compared
-    # on left-ordered class histograms.
+    # on left-ordered class histograms.  The finite masks come from the
+    # weight-layer prior draw; its slab hyperparameters leave the mask alone.
     rng = np.random.default_rng(9)
     draws = 100_000
     N, alpha, K = 2, 1.0, 64
 
     def finite_sampler(N_, alpha_, rng_):
-        Z = ibp.sample_mask_finite(N_, K, alpha_, rng_)
+        Z = model.sample_weight_layer(N_, K, alpha_, 2.0, 1.0, rng_).mask
         return Z[:, Z.any(axis=0)]
 
     finite = mc_lof_histogram(finite_sampler, N, alpha, draws, rng)

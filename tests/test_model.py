@@ -133,7 +133,6 @@ def test_generative_model_shape_chaining():
     hp = HyperParams(layer_widths=(3, 2))
     rng = np.random.default_rng(8)
     gm = GenerativeModel.from_prior(hp, 6, rng)
-    assert gm.n_dims == 6
     # Top layer connects 3 child factors to 2 parent factors.
     assert gm.layers[0].shape == (3, 2)
     assert gm.layers[1].shape == (6, 3)

@@ -8,10 +8,8 @@ from scipy import stats
 
 from deepibp import ibp, model, oracle
 from deepibp.oracle import (
-    Grid1D,
     enumerate_masks,
     freq_standard_error,
-    grid_integrate,
     lof_class_probabilities,
     marginal_weight_quadrature,
     mc_lof_histogram,
@@ -19,32 +17,6 @@ from deepibp.oracle import (
     slab_density_quadrature,
     slab_logmarginal_quadrature,
 )
-
-
-def test_grid1d_validation():
-    with pytest.raises(ValueError):
-        Grid1D(1.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        Grid1D(0.0, 1.0, 2)
-
-
-def test_grid_integrate_standard_normal():
-    grid = Grid1D(-8.0, 8.0, 100_001)
-    total = grid_integrate(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), grid)
-    assert abs(total - 1.0) < 1e-8
-
-
-def test_grid_integrate_zero_and_scalar_functions():
-    grid = Grid1D(0.0, 1.0, 11)
-    assert grid_integrate(lambda x: np.zeros_like(x), grid) == 0.0
-    # Scalar-only callables are accepted too.
-    assert abs(grid_integrate(lambda x: float(x) * 2.0, grid) - 1.0) < 1e-12
-
-
-def test_grid_integrate_rejects_non_finite():
-    grid = Grid1D(0.0, 1.0, 11)
-    with pytest.raises(ValueError):
-        grid_integrate(lambda x: np.full_like(x, np.nan), grid)
 
 
 def test_enumerate_masks_counts_and_uniqueness():
@@ -136,12 +108,14 @@ def test_validation_suite_all_green():
         assert "max error" in line and "tol" in line
 
 
-def test_validation_suite_detects_perturbed_constant():
-    report = run_validation(perturb=1e-3)
+def test_validation_suite_detects_perturbed_constant(spike_mass_too_high):
+    report = run_validation()
     assert not report.ok
     lines = report.lines()
     assert lines[-1] == "validation FAILED"
-    assert any(line.startswith("FAIL") for line in lines)
+    failing = [line for line in lines if line.startswith("FAIL")]
+    assert len(failing) == 1
+    assert failing[0].startswith("FAIL spike mass closed form vs quadrature:")
 
 
 def test_validation_check_line_format():
