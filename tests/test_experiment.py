@@ -128,7 +128,7 @@ def test_make_truth_rejects_unlinkable_columns():
     # would never end, so make_truth must refuse.  The alarm turns a
     # hang into a failure.
     rng = np.random.default_rng(0)
-    signal.signal(signal.SIGALRM, _timed_out)
+    previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.alarm(30)
     try:
         with pytest.raises(ValueError, match="cannot each link two"):
@@ -136,6 +136,7 @@ def test_make_truth_rejects_unlinkable_columns():
         assert make_truth(_tiny_cfg(n_dims=1), 0, rng).layers[-1].shape == (1, 0)
     finally:
         signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_make_dataset_shape_and_determinism():
