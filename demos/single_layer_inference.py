@@ -30,8 +30,8 @@ def main():
 
     layer_hyper = hyper.layer(0)
     for init_k in (2, 10):
-        cfg = InferenceConfig(iterations=200, init_k=init_k, seed=0)
-        state, trace = run_mh_layer(X, cfg, layer_hyper)
+        cfg = InferenceConfig(iterations=200, init_k=init_k)
+        state, trace = run_mh_layer(X, cfg, layer_hyper, rng=np.random.default_rng(0))
         burn = len(trace) * 3 // 4
         print(f"\ninit K={init_k}:")
         print(f"  K every 25 iterations: {trace.k[::25].tolist()}")

@@ -50,7 +50,7 @@ def _field_names(cls, *exclude: str) -> frozenset[str]:
 # the experiment's hyperparameters from the model section.
 _SECTION_KEYS = {
     "model": _field_names(HyperParams),
-    "inference": _field_names(InferenceConfig, "seed"),
+    "inference": _field_names(InferenceConfig),
     "experiment": _field_names(ExperimentConfig, "base_seed", "layer_hyper"),
 }
 
@@ -82,10 +82,10 @@ def build_hyper(config: dict) -> HyperParams:
         raise ConfigError(f"bad 'model' section: {exc}") from exc
 
 
-def build_inference(config: dict, seed: int) -> InferenceConfig:
+def build_inference(config: dict) -> InferenceConfig:
     section = config.get("inference", {})
     try:
-        return InferenceConfig(seed=seed, **section)
+        return InferenceConfig(**section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'inference' section: {exc}") from exc
 
@@ -171,14 +171,14 @@ def cmd_infer(args) -> int:
     seed = resolve_seed(args.seed)
     X = dataio.read_dataset_csv(args.data)
     hyper = build_hyper(config)
-    icfg = build_inference(config, seed)
+    icfg = build_inference(config)
 
     traces: dict[int, list[ChainTrace]] = {}
 
     def sink(outer: int, layer: int, trace: ChainTrace) -> None:
         traces.setdefault(layer, []).append(trace)
 
-    states = run_layerwise(X, args.depth, icfg, hyper, trace_sink=sink)
+    states = run_layerwise(X, args.depth, icfg, hyper, seed, trace_sink=sink)
 
     out = Path(args.out)
     for layer, parts in sorted(traces.items()):
@@ -207,6 +207,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     config = load_config(args.config)
     seed = resolve_seed(args.seed)
     hyper = build_hyper(config)

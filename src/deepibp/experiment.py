@@ -171,7 +171,7 @@ def run_trial(cfg: ExperimentConfig, k_true: int, init_index: int, replicate: in
     init = cfg.inits[init_index]
     seed_key = (cfg.base_seed, int(k_true), int(init_index), int(replicate))
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_key)))
-    icfg = InferenceConfig(iterations=cfg.iterations, init_k=init, seed=None)
+    icfg = InferenceConfig(iterations=cfg.iterations, init_k=init)
     started = time.perf_counter()
     _, trace = run_mh_layer(X, icfg, cfg.layer_hyper, rng=rng)
     elapsed = time.perf_counter() - started

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .ibp import harmonic_number, logprob_mask_marginal_counts
+from .ibp import as_binary_matrix, harmonic_number, logprob_mask_marginal_counts
 from .model import LayerHyper, ParentContext
 
 __all__ = [
@@ -80,12 +80,13 @@ class InferenceConfig:
     """Knobs for one chain.
 
     ``init_k`` is either a fixed integer or an inclusive (lo, hi) pair
-    drawn uniformly at chain start.
+    drawn uniformly at chain start.  The chain's randomness is the
+    generator given to ``run_mh_layer`` (or the seed given to
+    ``run_layerwise``).
     """
 
     iterations: int = 200
     init_k: int | tuple[int, int] = 2
-    seed: int | None = 0
     layerwise_outer_loops: int = 5
 
     def __post_init__(self) -> None:
@@ -128,12 +129,16 @@ class ChainTrace:
 class ChainState:
     """Sampler state for one layer: data, factors, mask/slab, caches.
 
-    The slab is kept exactly zero wherever the mask is zero, so the
-    effective weight matrix equals ``mask * slab`` equals ``slab``.
-    ``S`` caches effective-weights @ Y and ``m`` the per-column link
-    counts; ``log_joint_cached`` is refreshed after every full sweep.
-    Every kernel reads its hyperparameters from ``layer_hyper``, the
-    same values the log-joint is priced with.
+    The constructor and ``rebind`` are where the arrays are checked:
+    X, Y and slab must be 2-D and finite, the mask binary, the slab of
+    the mask's shape and Y of shape (K, T).  The slab is kept exactly
+    zero wherever the mask is zero, so the effective weight matrix
+    equals ``mask * slab`` equals ``slab``.  ``refresh`` is where the
+    caches are derived: ``S`` = slab @ Y, ``m`` the per-column link
+    counts, ``sigma_y`` the factor-prior stds and ``log_joint_cached``,
+    which is refreshed after every full sweep.  Every kernel reads its
+    hyperparameters from ``layer_hyper``, the same values the log-joint
+    is priced with.
     """
 
     X: np.ndarray
@@ -153,15 +158,15 @@ class ChainState:
     )
 
     def __post_init__(self) -> None:
-        self.X = model.as_factor_matrix(self.X)
-        self.Y = np.asarray(self.Y, dtype=float)
-        self.mask = np.ascontiguousarray(self.mask, dtype=np.int8)
-        self.slab = np.where(self.mask == 1, np.asarray(self.slab, dtype=float), 0.0)
-        if self.Y.shape != (self.mask.shape[1], self.X.shape[1]):
-            raise ValueError("Y shape does not chain mask columns to data instances")
-        if self.mask.shape[0] != self.X.shape[0]:
-            raise ValueError("mask rows must match data rows")
-        self.refresh()
+        self.mask = np.ascontiguousarray(as_binary_matrix(self.mask))
+        slab = model.as_factor_matrix(self.slab)
+        if slab.shape != self.mask.shape:
+            raise ValueError(f"slab shape {slab.shape} != mask shape {self.mask.shape}")
+        self.slab = np.where(self.mask == 1, slab, 0.0)
+        self.Y = model.as_factor_matrix(self.Y)
+        if self.Y.shape[0] != self.K:
+            raise ValueError(f"Y has {self.Y.shape[0]} rows for {self.K} mask columns")
+        self.rebind(self.X, self.parent_context)
 
     # -- dimensions ----------------------------------------------------
     @property
@@ -184,16 +189,22 @@ class ChainState:
     def refresh(self) -> None:
         """Recompute every cache from the primary arrays."""
         self.m = self.mask.sum(axis=0, dtype=np.int64)
-        self.S = (self.mask * self.slab) @ self.Y
+        self.S = self.slab @ self.Y
         self.sigma_y = model.factor_prior_sigma(self.K, self.T, self.layer_hyper, self.parent_context)
         self.log_joint_cached = model.log_joint(self)
 
     def check_consistency(self, atol: float = 1e-8) -> None:
-        """Assert the caches match a fresh recomputation."""
+        """Assert every cache matches a fresh recomputation."""
         np.testing.assert_array_equal(self.m, self.mask.sum(axis=0, dtype=np.int64))
-        np.testing.assert_allclose(self.S, (self.mask * self.slab) @ self.Y, atol=1e-10)
+        np.testing.assert_allclose(self.S, self.slab @ self.Y, atol=1e-10)
+        np.testing.assert_allclose(
+            self.sigma_y,
+            model.factor_prior_sigma(self.K, self.T, self.layer_hyper, self.parent_context),
+            rtol=1e-12,
+        )
         if np.any((self.mask == 0) & (self.slab != 0.0)):
             raise AssertionError("slab must be zero wherever the mask is zero")
+        # The log-joint reads the caches checked above.
         fresh = model.log_joint(self)
         if abs(fresh - self.log_joint_cached) > atol:
             raise AssertionError(
@@ -232,7 +243,7 @@ class ChainState:
                 empty = np.flatnonzero(mask.sum(axis=0) == 0)
                 if empty.size == 0:
                     break
-                _, _, mask[:, empty], slab[:, empty] = model._prior_columns(
+                mask[:, empty], slab[:, empty] = model._prior_columns(
                     N, empty.size, a, hyper.ig_shape, hyper.ig_scale, rng
                 )
         sigma_y = model.factor_prior_sigma(k0, X.shape[1], hyper, parent_context)
@@ -246,10 +257,17 @@ class ChainState:
         )
 
     def rebind(self, X: np.ndarray, parent_context: ParentContext | None) -> None:
-        """Point the chain at new data / a new upper-layer context."""
+        """Point the chain at new data / a new upper-layer context and refresh."""
         X = model.as_factor_matrix(X)
-        if X.shape[0] != self.mask.shape[0] or X.shape[1] != self.T:
-            raise ValueError(f"cannot rebind: data shape {X.shape} does not fit the chain")
+        if X.shape != (self.mask.shape[0], self.Y.shape[1]):
+            raise ValueError(
+                f"data shape {X.shape} does not fit a chain with mask {self.mask.shape} "
+                f"and factors {self.Y.shape}"
+            )
+        if parent_context is not None and parent_context.factors.shape[1] != X.shape[1]:
+            raise ValueError(
+                f"context factors {parent_context.factors.shape} do not span the data's {X.shape[1]} instances"
+            )
         self.X = X
         self.parent_context = parent_context
         self.refresh()
@@ -758,7 +776,8 @@ def run_mh_layer(
     cfg: InferenceConfig,
     hyper: LayerHyper,
     parent_context: ParentContext | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     initial_state: ChainState | None = None,
 ) -> tuple[ChainState, ChainTrace]:
     """Run one layer's chain: dimension moves, weight sweep, factor sweep.
@@ -767,16 +786,17 @@ def run_mh_layer(
     the cycling column cursor, then every weight and factor entry is
     resampled.  The trace records K, the refreshed log-joint and the
     per-iteration accepted add/delete counts; the state's ``stats``
-    holds the chain's proposal and acceptance counters.  ``hyper`` seeds a chain
-    drawn from the prior; a chain resumed from ``initial_state`` keeps
-    that state's ``layer_hyper``.
+    holds the chain's proposal and acceptance counters.  The chain
+    runs on ``X`` under ``hyper`` and ``parent_context`` and draws from
+    ``rng``: from the prior, or resumed from ``initial_state``, which is
+    given ``hyper`` and rebound to ``X`` and ``parent_context``.
     """
-    X = model.as_factor_matrix(X)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    state = initial_state
-    if state is None:
+    if initial_state is None:
         state = ChainState.from_prior(X, cfg, hyper, parent_context, rng)
+    else:
+        state = initial_state
+        state.layer_hyper = hyper
+        state.rebind(X, parent_context)
     cursor = 0
     ks = np.zeros(cfg.iterations, dtype=np.int64)
     ljs = np.zeros(cfg.iterations)
@@ -813,6 +833,7 @@ def run_layerwise(
     depth: int,
     cfg: InferenceConfig,
     hyper: model.HyperParams,
+    seed: int,
     trace_sink=None,
 ) -> list[ChainState]:
     """Greedy bottom-up inference over ``depth`` stacked layers.
@@ -822,25 +843,27 @@ def run_layerwise(
     ``cfg.layerwise_outer_loops`` times, re-inferring each layer under
     the latest upper-layer context, until the stack's total log-joint
     improves by less than 1 nat (_CONVERGENCE_TOL).  With depth 1 this
-    is exactly one run_mh_layer call.
+    is exactly one run_mh_layer call drawing from ``default_rng(seed)``;
+    deeper, the chain of outer loop ``outer`` at layer ``ell`` draws
+    from ``SeedSequence([seed, outer, ell])``.
 
     Layer ``ell`` uses ``hyper.layer(ell)``; layers above the configured
     ones reuse the top configured layer's values.
     ``trace_sink(outer, layer, trace)``, when given, receives every
     per-chain trace.
 
-    Returns one ChainState per layer, bottom first.
+    Returns one ChainState per layer, bottom first, each lower layer
+    rebound under the final state of the layer above.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    X = model.as_factor_matrix(X)
+    seed = model.as_int(seed, "seed")
     if depth == 1:
-        state, trace = run_mh_layer(X, cfg, hyper.layer(0), None, rng=np.random.default_rng(cfg.seed))
+        state, trace = run_mh_layer(X, cfg, hyper.layer(0), rng=np.random.default_rng(seed))
         if trace_sink is not None:
             trace_sink(0, 0, trace)
         return [state]
     states: list[ChainState | None] = [None] * depth
-    base = cfg.seed if cfg.seed is not None else 0
     prev_total = -math.inf
     for outer in range(cfg.layerwise_outer_loops):
         for ell in range(depth):
@@ -848,29 +871,22 @@ def run_layerwise(
             parent = None
             if ell + 1 < depth and states[ell + 1] is not None:
                 up = states[ell + 1]
-                parent = ParentContext(weights=up.mask * up.slab, factors=up.Y)
-            rng = np.random.default_rng(np.random.SeedSequence([base, outer, ell]))
+                parent = ParentContext(weights=up.slab, factors=up.Y)
             warm = states[ell]
-            if warm is not None and warm.X.shape[0] == data.shape[0]:
-                warm.rebind(data, parent)
-            else:
+            if warm is not None and warm.X.shape[0] != data.shape[0]:
                 warm = None
-            state, trace = run_mh_layer(
+            states[ell], trace = run_mh_layer(
                 data, cfg, hyper.layer(min(ell, hyper.num_layers - 1)), parent,
-                rng=rng, initial_state=warm,
+                rng=np.random.default_rng(np.random.SeedSequence([seed, outer, ell])),
+                initial_state=warm,
             )
-            states[ell] = state
             if trace_sink is not None:
                 trace_sink(outer, ell, trace)
         total = _layerwise_total(states)
         if outer > 0 and total - prev_total < _CONVERGENCE_TOL:
             break
         prev_total = total
-    # Lower layers were fit against upper-layer snapshots that the later
-    # chains then moved; re-anchor each context (with factors detached
-    # from the live upper state) so every returned state is self-consistent.
     for ell in range(depth - 1):
         up = states[ell + 1]
-        parent = ParentContext(weights=up.mask * up.slab, factors=up.Y.copy())
-        states[ell].rebind(states[ell].X, parent)
+        states[ell].rebind(states[ell].X, ParentContext(weights=up.slab, factors=up.Y))
     return states

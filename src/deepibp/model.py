@@ -161,15 +161,11 @@ class WeightLayer:
     ``mask`` is binary with rows indexing the child layer (the layer
     below) and columns indexing this layer's factors.  ``slab`` holds
     the Gaussian weight values; the effective weight matrix is their
-    elementwise product.  ``p_col`` and ``sigma2_col`` record the
-    per-column inclusion probability and slab variance when the layer
-    was drawn from the finite prior; both are None when marginalized.
+    elementwise product.
     """
 
     mask: np.ndarray
     slab: np.ndarray
-    p_col: np.ndarray | None = None
-    sigma2_col: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.mask = as_binary_matrix(self.mask)
@@ -178,13 +174,6 @@ class WeightLayer:
             raise ValueError(
                 f"slab shape {self.slab.shape} != mask shape {self.mask.shape}"
             )
-        for name in ("p_col", "sigma2_col"):
-            v = getattr(self, name)
-            if v is not None:
-                v = np.asarray(v, dtype=float)
-                if v.shape != (self.mask.shape[1],):
-                    raise ValueError(f"{name} must have one entry per column")
-                setattr(self, name, v)
 
     @property
     def weights(self) -> np.ndarray:
@@ -252,18 +241,18 @@ def _prior_columns(
     ig_shape: float,
     ig_scale: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n_cols`` columns of the finite prior with Beta(a, 1) inclusion.
 
-    Returns (p, sigma^2, mask, slab), drawn in that order: p by inverse
-    CDF (U^(1/a)), sigma^2 ~ InverseGamma(ig_shape, ig_scale), mask
-    entries Bernoulli(p) and slab entries N(0, sigma^2).
+    Draws, in this order, each column's p by inverse CDF (U^(1/a)) and
+    sigma^2 ~ InverseGamma(ig_shape, ig_scale), then mask entries
+    Bernoulli(p) and slab entries N(0, sigma^2).  Returns (mask, slab).
     """
     p = rng.random(n_cols) ** (1.0 / a)
     sigma2 = 1.0 / rng.gamma(shape=ig_shape, scale=1.0 / ig_scale, size=n_cols)
     mask = (rng.random((n_rows, n_cols)) < p).astype(np.int8)
     slab = rng.standard_normal((n_rows, n_cols)) * np.sqrt(sigma2)
-    return p, sigma2, mask, slab
+    return mask, slab
 
 
 def sample_weight_layer(
@@ -287,12 +276,9 @@ def sample_weight_layer(
         raise ValueError("matrix dimensions must be >= 0")
     if n_cols == 0:
         empty = np.zeros((n_rows, 0))
-        return WeightLayer(mask=empty.astype(np.int8), slab=empty,
-                           p_col=np.zeros(0), sigma2_col=np.zeros(0))
-    p_col, sigma2_col, mask, slab = _prior_columns(
-        n_rows, n_cols, alpha_ibp / n_cols, ig_shape, ig_scale, rng
-    )
-    return WeightLayer(mask=mask, slab=slab, p_col=p_col, sigma2_col=sigma2_col)
+        return WeightLayer(mask=empty.astype(np.int8), slab=empty)
+    mask, slab = _prior_columns(n_rows, n_cols, alpha_ibp / n_cols, ig_shape, ig_scale, rng)
+    return WeightLayer(mask=mask, slab=slab)
 
 
 def generate_dataset(model: GenerativeModel, T: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -322,33 +308,24 @@ def generate_dataset(model: GenerativeModel, T: int, rng: np.random.Generator) -
 class ParentContext:
     """Fixed upper-layer weights and factors during one layer's inference.
 
-    Defines the prior std of the current layer's factor rows: row j
-    below the context's width gets max(|row j of weights @ factors|,
-    sigma_floor); rows at or beyond the width (factors added after the
-    context was frozen) fall back to sigma_top.
+    Holds read-only copies of the arrays it is given, so later changes
+    to the upper layer's live state do not reach it.
     """
 
     weights: np.ndarray
     factors: np.ndarray
 
     def __post_init__(self) -> None:
-        W = np.asarray(self.weights, dtype=float)
-        Y = as_factor_matrix(self.factors)
+        W = np.array(self.weights, dtype=float)
+        Y = as_factor_matrix(self.factors).copy()
         if W.ndim != 2 or W.shape[1] != Y.shape[0]:
             raise ValueError(
                 f"context weights {W.shape} do not chain with factors {Y.shape}"
             )
+        W.flags.writeable = False
+        Y.flags.writeable = False
         object.__setattr__(self, "weights", W)
         object.__setattr__(self, "factors", Y)
-
-    def sigma_rows(self, n_rows: int, sigma_top: float, sigma_floor: float) -> np.ndarray:
-        """Prior stds for ``n_rows`` factor rows, shape (n_rows, T)."""
-        T = self.factors.shape[1]
-        covered = min(n_rows, self.weights.shape[0])
-        out = np.full((n_rows, T), float(sigma_top))
-        if covered:
-            out[:covered] = propagate_sigma_matrix(self.weights[:covered], self.factors, sigma_floor)
-        return out
 
 
 def factor_prior_sigma(
@@ -356,11 +333,17 @@ def factor_prior_sigma(
 ) -> np.ndarray:
     """Prior stds of ``n_rows`` factor rows over T instances, shape (n_rows, T).
 
-    Without a parent context every row has std sigma_top.
+    Without a parent context every row has std sigma_top.  Under one,
+    row j below the context's width gets max(|row j of weights @
+    factors|, sigma_floor); rows at or beyond the width (factors added
+    after the context was frozen) fall back to sigma_top.
     """
-    if parent is None:
-        return np.full((n_rows, T), hyper.sigma_top)
-    return parent.sigma_rows(n_rows, hyper.sigma_top, hyper.sigma_floor)
+    out = np.full((n_rows, T), float(hyper.sigma_top))
+    if parent is not None:
+        covered = min(n_rows, parent.weights.shape[0])
+        if covered:
+            out[:covered] = propagate_sigma_matrix(parent.weights[:covered], parent.factors, hyper.sigma_floor)
+    return out
 
 
 def gaussian_loglik(X: np.ndarray, sigma) -> float:
@@ -490,9 +473,11 @@ class JointTerms:
 def log_joint_terms(state) -> JointTerms:
     """Evaluate the four components of the single-layer log-joint.
 
-    ``state`` is a ChainState: the data ``X``, the factors ``Y``, the
-    binary ``mask`` and its ``slab`` values, the ``layer_hyper`` it is
-    priced under and its ``parent_context`` (None at the top of a stack).
+    ``state`` is a ChainState, priced under its ``layer_hyper`` from its
+    data ``X``, factors ``Y``, ``mask`` and ``slab`` and from the caches
+    its ``refresh()`` derives: ``S`` (slab @ Y) for the data scales,
+    ``sigma_y`` for the factor prior and ``m`` for the link counts.
+    The slab is zero off the mask, so its squares are the active ones.
 
     The weight prior marginalizes both the per-column inclusion
     probabilities (Beta-Bernoulli mask marginal) and the per-column
@@ -500,24 +485,13 @@ def log_joint_terms(state) -> JointTerms:
     factor count follows Poisson(alpha' H_N).
     """
     lh = state.layer_hyper
-    X = as_factor_matrix(state.X)
-    mask, slab = state.mask, state.slab
-    Y = as_factor_matrix(state.Y) if mask.shape[1] else np.zeros((0, X.shape[1]))
-    N, K = mask.shape
-    if N != X.shape[0] or Y.shape != (K, X.shape[1]):
-        raise ValueError("state shapes do not match the data matrix")
-
-    sigma_x = propagate_sigma_matrix(mask * slab, Y, lh.sigma_floor)
-    log_lik = gaussian_loglik(X, sigma_x)
-
-    sigma_y = factor_prior_sigma(K, X.shape[1], lh, state.parent_context)
-    log_y_prior = gaussian_loglik(Y, sigma_y) if K else 0.0
-
-    log_mask_prior = logprob_mask_marginal(mask, lh.alpha_ibp)
-    m = mask.sum(axis=0, dtype=np.int64)
-    sq = np.where(mask.astype(bool), slab, 0.0) ** 2
+    N, K = state.mask.shape
+    log_lik = gaussian_loglik(state.X, np.maximum(np.abs(state.S), lh.sigma_floor))
+    log_y_prior = gaussian_loglik(state.Y, state.sigma_y) if K else 0.0
+    log_mask_prior = logprob_mask_marginal(state.mask, lh.alpha_ibp)
+    sq = state.slab ** 2
     log_slab_prior = sum(
-        slab_column_logmarginal(float(sq[:, k].sum()), int(m[k]), lh.ig_shape, lh.ig_scale)
+        slab_column_logmarginal(float(sq[:, k].sum()), int(state.m[k]), lh.ig_shape, lh.ig_scale)
         for k in range(K)
     )
     rate = lh.alpha_ibp * harmonic_number(N)

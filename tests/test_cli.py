@@ -295,6 +295,15 @@ def test_experiment_two_layer_model_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("jobs", ["-3", "0"])
+def test_experiment_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    cfg = _write_config(tmp_path, {"experiment": {**TINY_EXPERIMENT["experiment"], "replicates": 1}})
+    rc = main(["experiment", "--config", cfg, "--out", str(tmp_path / "x"), "--jobs", jobs])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_experiment_bad_init_kind_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "experiment": {"inits": [{"kind": "warm"}]}

@@ -7,6 +7,8 @@ them.  A change that moves the stream on purpose updates the values
 here and records the old and new ones in CHANGES.md.
 """
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -105,12 +107,13 @@ def runs(tmp_path_factory):
     stack.write_text(json.dumps(STACK))
     study = root / "study.json"
     study.write_text(json.dumps(STUDY))
-    assert main(["generate", "--config", str(stack), "--out", str(root / "gen"), "--seed", "7"]) == 0
-    data = str(root / "gen" / "data.csv")
-    for depth in (1, 2):
-        assert main(["infer", data, "--config", str(stack), "--out", str(root / f"depth{depth}"),
-                     "--seed", "7", "--depth", str(depth)]) == 0
-    assert main(["experiment", "--config", str(study), "--out", str(root / "study"), "--seed", "7"]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--config", str(stack), "--out", str(root / "gen"), "--seed", "7"]) == 0
+        data = str(root / "gen" / "data.csv")
+        for depth in (1, 2):
+            assert main(["infer", data, "--config", str(stack), "--out", str(root / f"depth{depth}"),
+                         "--seed", "7", "--depth", str(depth)]) == 0
+        assert main(["experiment", "--config", str(study), "--out", str(root / "study"), "--seed", "7"]) == 0
     return root
 
 

@@ -114,6 +114,36 @@ def test_rebind_replaces_data_and_context():
         state.rebind(rng.standard_normal((4, 8)), None)
 
 
+@pytest.mark.parametrize("mask, slab, match", [
+    ([[0.7, 1.0], [1.0, 0.2], [1.0, 1.0]], np.ones((3, 2)), "mask entries must be 0 or 1"),
+    (np.ones((3, 2)), np.full((3, 1), 0.5), "slab shape"),
+    (np.ones((3, 2)), [[np.nan, 1.0], [1.0, 1.0], [1.0, 1.0]], "NaN"),
+])
+def test_chain_state_rejects_bad_mask_or_slab(mask, slab, match):
+    with pytest.raises(ValueError, match=match):
+        ChainState(X=np.ones((3, 4)), Y=np.ones((2, 4)), mask=mask, slab=slab, layer_hyper=HYPER)
+
+
+@pytest.mark.parametrize("cache", ["m", "S", "sigma_y", "log_joint_cached"])
+def test_check_consistency_catches_each_stale_cache(cache):
+    rng = np.random.default_rng(30)
+    state = _random_state(rng)
+    # Under a context the factor-prior stds vary by entry.
+    ctx = ParentContext(weights=3.0 * rng.standard_normal((2, 2)), factors=rng.standard_normal((2, 8)))
+    state.rebind(state.X, ctx)
+    assert np.unique(state.sigma_y).size > 1
+    state.check_consistency()
+    if cache == "log_joint_cached":
+        state.log_joint_cached += 1e-3
+    else:
+        getattr(state, cache).flat[0] += 1
+        # A log-joint priced from the stale cache agrees with it, so only
+        # the cache's own check can catch it.
+        state.log_joint_cached = model.log_joint(state)
+    with pytest.raises(AssertionError):
+        state.check_consistency()
+
+
 def test_move_stats_check():
     stats = MoveStats(add_proposed=1, add_accepted=2)
     with pytest.raises(AssertionError):
@@ -330,7 +360,7 @@ def test_resample_data_standardized_moments():
 def test_run_mh_layer_zero_iterations():
     rng = np.random.default_rng(17)
     X = rng.standard_normal((4, 6))
-    state, trace = run_mh_layer(X, InferenceConfig(iterations=0, seed=1), HYPER)
+    state, trace = run_mh_layer(X, InferenceConfig(iterations=0), HYPER, rng=np.random.default_rng(1))
     assert len(trace) == 0
     state.check_consistency()
 
@@ -338,8 +368,8 @@ def test_run_mh_layer_zero_iterations():
 def test_run_mh_layer_trace_and_stats():
     rng = np.random.default_rng(18)
     X = rng.standard_normal((6, 20))
-    cfg = InferenceConfig(iterations=12, init_k=2, seed=5)
-    state, trace = run_mh_layer(X, cfg, HYPER)
+    cfg = InferenceConfig(iterations=12, init_k=2)
+    state, trace = run_mh_layer(X, cfg, HYPER, rng=np.random.default_rng(5))
     assert len(trace) == 12
     assert (trace.k >= 0).all()
     assert trace.k[-1] == state.K
@@ -351,9 +381,9 @@ def test_run_mh_layer_trace_and_stats():
 def test_run_mh_layer_seed_determinism():
     rng = np.random.default_rng(19)
     X = rng.standard_normal((5, 15))
-    cfg = InferenceConfig(iterations=10, init_k=3, seed=7)
-    s1, t1 = run_mh_layer(X, cfg, HYPER)
-    s2, t2 = run_mh_layer(X, cfg, HYPER)
+    cfg = InferenceConfig(iterations=10, init_k=3)
+    s1, t1 = run_mh_layer(X, cfg, HYPER, rng=np.random.default_rng(7))
+    s2, t2 = run_mh_layer(X, cfg, HYPER, rng=np.random.default_rng(7))
     np.testing.assert_array_equal(t1.k, t2.k)
     np.testing.assert_array_equal(t1.log_joint, t2.log_joint)
     np.testing.assert_array_equal(s1.mask, s2.mask)
@@ -361,16 +391,36 @@ def test_run_mh_layer_seed_determinism():
     np.testing.assert_array_equal(s1.Y, s2.Y)
 
 
+def test_run_mh_layer_warm_start_takes_its_arguments():
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((5, 12))
+    state, _ = run_mh_layer(X, InferenceConfig(iterations=3, init_k=2), HYPER, rng=rng)
+    X2 = rng.standard_normal((5, 12))
+    hyper2 = LayerHyper(alpha_ibp=0.5, ig_shape=3.0, ig_scale=2.0, sigma_top=1.0, sigma_floor=1e-6)
+    ctx = ParentContext(weights=rng.standard_normal((state.K, 2)), factors=rng.standard_normal((2, 12)))
+    resumed, _ = run_mh_layer(X2, InferenceConfig(iterations=0), hyper2, ctx, rng=rng, initial_state=state)
+    assert resumed is state
+    np.testing.assert_array_equal(resumed.X, X2)
+    assert resumed.layer_hyper == hyper2
+    assert resumed.parent_context is ctx
+    resumed.check_consistency()
+
+
+def test_run_layerwise_requires_an_integer_seed():
+    X = np.random.default_rng(24).standard_normal((4, 6))
+    for depth in (1, 2):
+        with pytest.raises(ValueError, match="seed"):
+            run_layerwise(X, depth, InferenceConfig(iterations=1), HyperParams(layer_widths=(2,)), None)
+
+
 def test_run_layerwise_depth_one_equals_single_layer():
     rng = np.random.default_rng(20)
     X = rng.standard_normal((5, 12))
-    cfg = InferenceConfig(iterations=8, init_k=2, seed=11)
+    cfg = InferenceConfig(iterations=8, init_k=2)
     hyper = HyperParams(layer_widths=(3,))
     collected = []
-    states = run_layerwise(X, 1, cfg, hyper, trace_sink=lambda o, l, t: collected.append((o, l, t)))
-    direct_state, direct_trace = run_mh_layer(
-        X, cfg, hyper.layer(0), None, rng=np.random.default_rng(cfg.seed)
-    )
+    states = run_layerwise(X, 1, cfg, hyper, 11, trace_sink=lambda o, l, t: collected.append((o, l, t)))
+    direct_state, direct_trace = run_mh_layer(X, cfg, hyper.layer(0), rng=np.random.default_rng(11))
     assert len(states) == 1
     np.testing.assert_array_equal(collected[0][2].k, direct_trace.k)
     np.testing.assert_array_equal(states[0].mask, direct_state.mask)
@@ -381,9 +431,9 @@ def test_run_layerwise_two_layers_smoke():
     hyper = HyperParams(layer_widths=(3, 2))
     truth = model.GenerativeModel.from_prior(hyper, 8, rng)
     X = model.generate_dataset(truth, 40, rng)[-1]
-    cfg = InferenceConfig(iterations=6, init_k=2, seed=13, layerwise_outer_loops=2)
+    cfg = InferenceConfig(iterations=6, init_k=2, layerwise_outer_loops=2)
     seen = []
-    states = run_layerwise(X, 2, cfg, hyper, trace_sink=lambda o, l, t: seen.append((o, l)))
+    states = run_layerwise(X, 2, cfg, hyper, 13, trace_sink=lambda o, l, t: seen.append((o, l)))
     assert len(states) == 2
     for st in states:
         st.check_consistency()
@@ -391,14 +441,14 @@ def test_run_layerwise_two_layers_smoke():
     assert states[1].X.shape[0] == states[0].K
     assert {layer for _, layer in seen} == {0, 1}
     with pytest.raises(ValueError):
-        run_layerwise(X, 0, cfg, hyper)
+        run_layerwise(X, 0, cfg, hyper, 13)
 
 
 def test_chain_over_no_rows_stays_at_k_zero():
     # No rows give the factor count a rate of alpha * H_0 = 0: K = 0 is
     # the only value with prior mass, whatever init_k asks for.
-    cfg = InferenceConfig(iterations=3, init_k=3, seed=2)
-    state, trace = run_mh_layer(np.zeros((0, 10)), cfg, HYPER)
+    cfg = InferenceConfig(iterations=3, init_k=3)
+    state, trace = run_mh_layer(np.zeros((0, 10)), cfg, HYPER, rng=np.random.default_rng(2))
     assert state.K == 0
     assert (trace.k == 0).all()
     assert np.isfinite(trace.log_joint).all()
@@ -412,8 +462,8 @@ def test_run_layerwise_survives_lower_layer_reaching_k_zero():
     rng = np.random.default_rng(8)
     truth = model.GenerativeModel.from_prior(hyper, 12, rng)
     X = model.generate_dataset(truth, 60, rng)[-1]
-    cfg = InferenceConfig(iterations=10, init_k=4, seed=4, layerwise_outer_loops=3)
-    states = run_layerwise(X, 2, cfg, hyper)
+    cfg = InferenceConfig(iterations=10, init_k=4, layerwise_outer_loops=3)
+    states = run_layerwise(X, 2, cfg, hyper, 4)
     assert [st.K for st in states] == [0, 0]
     for st in states:
         assert math.isfinite(st.log_joint_cached)
@@ -423,9 +473,9 @@ def test_run_layerwise_survives_lower_layer_reaching_k_zero():
 def test_run_layerwise_pads_hyper_to_depth():
     rng = np.random.default_rng(22)
     X = rng.standard_normal((6, 15))
-    cfg = InferenceConfig(iterations=4, init_k=2, seed=3, layerwise_outer_loops=1)
+    cfg = InferenceConfig(iterations=4, init_k=2, layerwise_outer_loops=1)
     hyper = HyperParams(layer_widths=(3,))
-    states = run_layerwise(X, 2, cfg, hyper)
+    states = run_layerwise(X, 2, cfg, hyper, 3)
     assert len(states) == 2
     assert [st.layer_hyper for st in states] == [hyper.layer(0)] * 2
     # Two configured layers at depth 3: the third reuses the second's values.
@@ -433,8 +483,8 @@ def test_run_layerwise_pads_hyper_to_depth():
         alpha_ibp_per_layer=(3.0, 1.5), ig_shape_per_layer=(2.0, 3.0),
         ig_scale_per_layer=(1.0, 0.5), layer_widths=(3, 2),
     )
-    cfg = InferenceConfig(iterations=3, init_k=3, seed=4, layerwise_outer_loops=1)
-    states = run_layerwise(X, 3, cfg, hyper)
+    cfg = InferenceConfig(iterations=3, init_k=3, layerwise_outer_loops=1)
+    states = run_layerwise(X, 3, cfg, hyper, 4)
     assert [st.layer_hyper for st in states] == [hyper.layer(0), hyper.layer(1), hyper.layer(1)]
     assert states[2].layer_hyper == LayerHyper(
         alpha_ibp=1.5, ig_shape=3.0, ig_scale=0.5, sigma_top=1.0, sigma_floor=1e-6
