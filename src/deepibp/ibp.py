@@ -23,6 +23,7 @@ __all__ = [
     "column_counts",
     "harmonic_number",
     "left_order_form",
+    "logprob_lof_class",
     "logprob_mask_ibp",
     "logprob_mask_marginal",
     "logprob_mask_marginal_counts",
@@ -126,6 +127,17 @@ class LofClass:
     def __hash__(self) -> int:
         return hash(self.key)
 
+    @classmethod
+    def from_histories(cls, histories, N: int) -> "LofClass":
+        """The class whose columns are ``histories``.
+
+        ``histories`` are N-tuples already in left-ordered
+        (non-increasing) order.  No input checks.
+        """
+        matrix = np.array(histories, dtype=np.int8).T if histories else np.zeros((N, 0), dtype=np.int8)
+        mult = tuple(len(list(g)) for _, g in itertools.groupby(histories))
+        return cls(matrix=matrix, multiplicities=mult)
+
 
 def left_order_form(Z: BinaryMatrix) -> LofClass:
     """Canonicalise a mask by sorting columns into left-ordered form.
@@ -135,14 +147,11 @@ def left_order_form(Z: BinaryMatrix) -> LofClass:
     permutation of the input.
     """
     Z = as_binary_matrix(Z)
-    histories = sorted((tuple(int(v) for v in Z[:, k]) for k in range(Z.shape[1])), reverse=True)
-    canon = np.array(histories, dtype=np.int8).T if histories else Z.reshape(Z.shape[0], 0)
-    mult = tuple(len(list(g)) for _, g in itertools.groupby(histories))
-    return LofClass(matrix=canon, multiplicities=mult)
+    return LofClass.from_histories(sorted(map(tuple, Z.T.tolist()), reverse=True), Z.shape[0])
 
 
-def logprob_mask_ibp(Z: BinaryMatrix, alpha: float) -> float:
-    """Log-probability of a mask's left-ordered class under the process law.
+def logprob_lof_class(lof: LofClass, alpha: float) -> float:
+    """Log-probability of a left-ordered class under the process law.
 
     With K+ active columns, column counts m_k, and equal-history group
     sizes K_h,
@@ -150,25 +159,34 @@ def logprob_mask_ibp(Z: BinaryMatrix, alpha: float) -> float:
     log P = K+ log(alpha) - sum_h lgamma(K_h + 1) - alpha H_N
             + sum_k [ lgamma(N - m_k + 1) + lgamma(m_k) - lgamma(N + 1) ].
 
+    The class must have no all-zero column.  The empty class has
+    log-probability -alpha H_N.
+    """
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    N, K = lof.matrix.shape
+    out = -alpha * harmonic_number(N)
+    if K == 0:
+        return float(out)
+    out += K * math.log(alpha)
+    out -= sum(math.lgamma(c + 1.0) for c in lof.multiplicities)
+    lg_n = math.lgamma(N + 1.0)
+    m = lof.matrix.sum(axis=0, dtype=np.int64)
+    out += sum(math.lgamma(N - mk + 1.0) + math.lgamma(mk) - lg_n for mk in m.tolist())
+    return float(out)
+
+
+def logprob_mask_ibp(Z: BinaryMatrix, alpha: float) -> float:
+    """Log-probability of a mask's left-ordered class under the process law.
+
+    Canonicalises ``Z`` and prices its class by ``logprob_lof_class``.
     All-zero columns have no left-ordered representative and are
     rejected.  An empty mask is legal and has log-probability -alpha H_N.
     """
     Z = as_binary_matrix(Z)
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    N, K = Z.shape
-    m = column_counts(Z)
-    if np.any(m == 0):
+    if np.any(column_counts(Z) == 0):
         raise ValueError("mask has an all-zero column; drop it first")
-    out = -alpha * harmonic_number(N)
-    if K == 0:
-        return float(out)
-    lof = left_order_form(Z)
-    out += K * math.log(alpha)
-    out -= sum(math.lgamma(c + 1.0) for c in lof.multiplicities)
-    lg_n = math.lgamma(N + 1.0)
-    out += sum(math.lgamma(N - mk + 1.0) + math.lgamma(mk) - lg_n for mk in m.tolist())
-    return float(out)
+    return logprob_lof_class(left_order_form(Z), alpha)
 
 
 def sample_ibp_sequential(N: int, alpha: float, rng: np.random.Generator) -> np.ndarray:

@@ -131,14 +131,17 @@ class ChainState:
 
     The constructor and ``rebind`` are where the arrays are checked:
     X, Y and slab must be 2-D and finite, the mask binary, the slab of
-    the mask's shape and Y of shape (K, T).  The slab is kept exactly
-    zero wherever the mask is zero, so the effective weight matrix
-    equals ``mask * slab`` equals ``slab``.  ``refresh`` is where the
-    caches are derived: ``S`` = slab @ Y, ``m`` the per-column link
-    counts, ``sigma_y`` the factor-prior stds and ``log_joint_cached``,
-    which is refreshed after every full sweep.  Every kernel reads its
-    hyperparameters from ``layer_hyper``, the same values the log-joint
-    is priced with.
+    the mask's shape and Y of shape (K, T).  The constructor copies the
+    mask, slab and Y it is given, so the kernels never write into a
+    caller's arrays.  The slab is kept exactly zero wherever the mask is
+    zero, so the effective weight matrix equals ``mask * slab`` equals
+    ``slab``.  ``refresh`` is where the caches are derived: ``S`` =
+    slab @ Y, ``m`` the per-column link counts and ``sigma_y`` the
+    factor-prior stds.  The log-joint is priced lazily: ``refresh`` and
+    ``resample_data`` clear it, and ``log_joint_cached`` prices the
+    state on its first read after that and keeps the value.  Every
+    kernel reads its hyperparameters from ``layer_hyper``, the same
+    values the log-joint is priced with.
     """
 
     X: np.ndarray
@@ -151,19 +154,20 @@ class ChainState:
     m: np.ndarray = field(init=False)
     S: np.ndarray = field(init=False)
     sigma_y: np.ndarray = field(init=False)
-    log_joint_cached: float = field(init=False)
+    # One-slot memo of the log-joint; None until first read after a change.
+    _log_joint_memo: float | None = field(default=None, init=False, repr=False, compare=False)
     # One-slot memo of log_ratio_add: (key, ratio), keyed by what it reads.
     _add_ratio_memo: tuple[tuple[bytes, int, float], float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        self.mask = np.ascontiguousarray(as_binary_matrix(self.mask))
+        self.mask = np.array(as_binary_matrix(self.mask), order="C")
         slab = model.as_factor_matrix(self.slab)
         if slab.shape != self.mask.shape:
             raise ValueError(f"slab shape {slab.shape} != mask shape {self.mask.shape}")
         self.slab = np.where(self.mask == 1, slab, 0.0)
-        self.Y = model.as_factor_matrix(self.Y)
+        self.Y = model.as_factor_matrix(self.Y).copy()
         if self.Y.shape[0] != self.K:
             raise ValueError(f"Y has {self.Y.shape[0]} rows for {self.K} mask columns")
         self.rebind(self.X, self.parent_context)
@@ -187,14 +191,25 @@ class ChainState:
 
     # -- caches --------------------------------------------------------
     def refresh(self) -> None:
-        """Recompute every cache from the primary arrays."""
+        """Recompute every cache from the primary arrays and clear the log-joint."""
         self.m = self.mask.sum(axis=0, dtype=np.int64)
         self.S = self.slab @ self.Y
         self.sigma_y = model.factor_prior_sigma(self.K, self.T, self.layer_hyper, self.parent_context)
-        self.log_joint_cached = model.log_joint(self)
+        self._log_joint_memo = None
+
+    @property
+    def log_joint_cached(self) -> float:
+        """The state's log-joint, priced on the first read after a refresh or a data redraw."""
+        if self._log_joint_memo is None:
+            self._log_joint_memo = model.log_joint(self)
+        return self._log_joint_memo
 
     def check_consistency(self, atol: float = 1e-8) -> None:
-        """Assert every cache matches a fresh recomputation."""
+        """Assert every cache matches a fresh recomputation.
+
+        The state is priced afresh, which must give a finite log-joint
+        that matches the memo whenever one is held.
+        """
         np.testing.assert_array_equal(self.m, self.mask.sum(axis=0, dtype=np.int64))
         np.testing.assert_allclose(self.S, self.slab @ self.Y, atol=1e-10)
         np.testing.assert_allclose(
@@ -206,10 +221,11 @@ class ChainState:
             raise AssertionError("slab must be zero wherever the mask is zero")
         # The log-joint reads the caches checked above.
         fresh = model.log_joint(self)
-        if abs(fresh - self.log_joint_cached) > atol:
-            raise AssertionError(
-                f"cached log-joint {self.log_joint_cached} != fresh {fresh}"
-            )
+        if not math.isfinite(fresh):
+            raise AssertionError(f"log-joint is {fresh}")
+        memo = self._log_joint_memo
+        if memo is not None and abs(fresh - memo) > atol:
+            raise AssertionError(f"cached log-joint {memo} != fresh {fresh}")
         self.stats.check()
 
     # -- construction ----------------------------------------------------
@@ -765,10 +781,10 @@ def gibbs_sweep(state: ChainState, rng: np.random.Generator) -> None:
 
 
 def resample_data(state: ChainState, rng: np.random.Generator) -> None:
-    """Redraw the data matrix from the current weights and factors."""
+    """Redraw the data matrix from the current weights and factors; clears the log-joint."""
     sigma = np.maximum(np.abs(state.S), state.layer_hyper.sigma_floor)
     state.X = sigma * rng.standard_normal(state.X.shape)
-    state.log_joint_cached = model.log_joint(state)
+    state._log_joint_memo = None
 
 
 def run_mh_layer(

@@ -23,6 +23,7 @@ __all__ = [
     "factor_kernel_tv",
     "freq_standard_error",
     "frozen_kernel_state",
+    "geweke",
     "geweke_moment_zs",
     "ibp_sampler_max_z",
     "lof_class_probabilities",
@@ -161,11 +162,18 @@ def mc_lof_histogram(sampler, N: int, alpha: float, num_draws: int,
         raise ValueError("histogram comparisons only support N <= 3")
     if num_draws < 0:
         raise ValueError("num_draws must be >= 0")
-    counts: dict[ibp.LofClass, int] = {}
+    # Draws are counted by their sorted column histories; each distinct
+    # class is then built, and checked binary, once.
+    counts: dict[tuple, int] = {}
     for _ in range(num_draws):
-        cls = ibp.left_order_form(sampler(N, alpha, rng))
-        counts[cls] = counts.get(cls, 0) + 1
-    return {cls: c / num_draws for cls, c in counts.items()}
+        key = tuple(sorted(map(tuple, sampler(N, alpha, rng).T.tolist()), reverse=True))
+        counts[key] = counts.get(key, 0) + 1
+    out = {}
+    for key, c in counts.items():
+        cls = ibp.LofClass.from_histories(key, N)
+        ibp.as_binary_matrix(cls.matrix)
+        out[cls] = c / num_draws
+    return out
 
 
 def freq_standard_error(p: float, num_draws: int) -> float:
@@ -176,8 +184,9 @@ def freq_standard_error(p: float, num_draws: int) -> float:
 def lof_class_probabilities(N: int, alpha: float, max_k: int) -> dict[ibp.LofClass, float]:
     """Process-law probabilities of every left-ordered class with K <= max_k.
 
-    Classes are multisets of nonzero column histories; each is realised
-    as a representative matrix and priced by the process law.
+    Classes are multisets of nonzero column histories.  Drawn in
+    non-increasing order, each multiset is already left-ordered, so it
+    is built as its class directly and priced by the process law.
     """
     import itertools
 
@@ -188,9 +197,8 @@ def lof_class_probabilities(N: int, alpha: float, max_k: int) -> dict[ibp.LofCla
     out: dict[ibp.LofClass, float] = {}
     for k in range(max_k + 1):
         for combo in itertools.combinations_with_replacement(histories, k):
-            Z = np.array(combo, dtype=np.int8).T if combo else np.zeros((N, 0), dtype=np.int8)
-            cls = ibp.left_order_form(Z)
-            out[cls] = math.exp(ibp.logprob_mask_ibp(Z, alpha))
+            cls = ibp.LofClass.from_histories(combo, N)
+            out[cls] = math.exp(ibp.logprob_lof_class(cls, alpha))
     return out
 
 
@@ -386,13 +394,81 @@ def dish_count_mean_z(num_draws: int, seed: int, N: int = 10, alpha: float = 3.0
 _GEWEKE_HYPER = dict(alpha_ibp=2.0, ig_shape=4.0, ig_scale=3.0, sigma_top=1.0, sigma_floor=0.3)
 
 
-def _geweke_stats(w_eff: np.ndarray, Y: np.ndarray) -> tuple[float, float, float, float]:
-    return (
-        float(w_eff.mean()),
-        float((w_eff * w_eff).mean()),
-        float(Y.mean()),
-        float((Y * Y).mean()),
-    )
+def _record(draw, n: int, burn_in: int = 0) -> list[np.ndarray]:
+    """Call ``draw`` burn_in + n times and keep the last n snapshots.
+
+    A snapshot is an array or a tuple of arrays of fixed shapes; each
+    part is copied into a preallocated (n, ...) array.
+    """
+    for _ in range(burn_in):
+        draw()
+    out: list[np.ndarray] = []
+    for i in range(n):
+        snap = draw()
+        parts = snap if isinstance(snap, tuple) else (snap,)
+        if not out:
+            out = [np.empty((n,) + np.shape(a), dtype=np.result_type(a)) for a in parts]
+        for buf, a in zip(out, parts):
+            buf[i] = a
+    return out
+
+
+def geweke(forward, step, stats, n_prior: int, n_sweeps: int, burn_in: int,
+           batches: int) -> dict[str, float]:
+    """Generate-then-sample agreement between two samplers of one law, as z-scores.
+
+    ``forward()`` returns an independent draw from the law and
+    ``step()`` advances a chain that should leave the law invariant and
+    returns its current draw; either draw is an array or a tuple of
+    arrays of fixed shapes.  The harness keeps ``n_prior`` forward draws
+    and, after ``burn_in`` unkept steps, ``n_sweeps - burn_in`` chain
+    draws.  ``stats(*parts)`` maps the stacked draws, each part with a
+    leading draw axis, to a dict of per-draw statistics.  Returns |z|
+    per statistic for the difference of the two means; the chain side's
+    standard error uses ``batches`` batch means to absorb
+    autocorrelation (a remainder of kept draws that does not fill a
+    batch counts towards the mean only).  The prior side is drawn first,
+    then the chain side.
+    """
+    if n_prior < 2:
+        raise ValueError(f"n_prior must be >= 2, got {n_prior}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    if batches < 2:
+        raise ValueError(f"batches must be >= 2, got {batches}")
+    kept = n_sweeps - burn_in
+    if kept < batches:
+        raise ValueError(
+            f"n_sweeps - burn_in = {kept} kept sweeps cannot fill batches = {batches}"
+        )
+    prior_stats = stats(*_record(forward, n_prior))
+    chain_stats = stats(*_record(step, kept, burn_in))
+    names = list(prior_stats)
+    # One (draw, statistic) array per side: the means below then sum in
+    # a fixed order, so a pinned z stays the same float.
+    prior = np.column_stack([prior_stats[name] for name in names])
+    chain = np.column_stack([chain_stats[name] for name in names])
+    batch_means = chain[: kept // batches * batches].reshape(batches, -1, len(names)).mean(axis=1)
+    zs = {}
+    for j, name in enumerate(names):
+        se_prior = prior[:, j].std(ddof=1) / math.sqrt(n_prior)
+        se_chain = batch_means[:, j].std(ddof=1) / math.sqrt(batches)
+        zs[name] = float(
+            abs(prior[:, j].mean() - chain[:, j].mean()) / math.hypot(se_prior, se_chain)
+        )
+    return zs
+
+
+def _moment_stats(w_eff: np.ndarray, Y: np.ndarray) -> dict[str, np.ndarray]:
+    """First and second moments of each draw's effective weights and factors."""
+    w = w_eff.reshape(len(w_eff), -1)
+    y = Y.reshape(len(Y), -1)
+    return {
+        "mean_w": w.mean(axis=1),
+        "mean_w_sq": (w * w).mean(axis=1),
+        "mean_y": y.mean(axis=1),
+        "mean_y_sq": (y * y).mean(axis=1),
+    }
 
 
 def geweke_moment_zs(
@@ -412,8 +488,10 @@ def geweke_moment_zs(
     sweep at fixed K with redrawing the data from the likelihood.  Any
     defect in the kernels' stationary law shows up as a moment
     discrepancy.  Compares the first and second moments of the
-    effective weights and the factors; the chain side's standard error
-    uses batch means to absorb autocorrelation.  Returns |z| per moment.
+    effective weights and the factors through ``geweke``.  The chain
+    starts from a prior draw, made after the prior side's; once it has
+    run, its caches must still match a fresh derivation.  Returns |z|
+    per moment.
     """
     from .inference import ChainState, gibbs_sweep, resample_data
     from .model import LayerHyper
@@ -421,33 +499,30 @@ def geweke_moment_zs(
     hyper = LayerHyper(**_GEWEKE_HYPER)
     rng = np.random.default_rng(seed)
 
-    prior = np.empty((n_prior, 4))
-    for i in range(n_prior):
+    def draw_layer():
         layer = model.sample_weight_layer(N, K, hyper.alpha_ibp, hyper.ig_shape, hyper.ig_scale, rng)
-        Y = hyper.sigma_top * rng.standard_normal((K, T))
-        prior[i] = _geweke_stats(layer.mask * layer.slab, Y)
+        return layer, hyper.sigma_top * rng.standard_normal((K, T))
 
-    layer = model.sample_weight_layer(N, K, hyper.alpha_ibp, hyper.ig_shape, hyper.ig_scale, rng)
-    Y = hyper.sigma_top * rng.standard_normal((K, T))
-    sigma = np.maximum(np.abs((layer.mask * layer.slab) @ Y), hyper.sigma_floor)
-    X = sigma * rng.standard_normal((N, T))
-    state = ChainState(X=X, Y=Y, mask=layer.mask, slab=layer.slab, layer_hyper=hyper)
-    chain = np.empty((n_sweeps, 4))
-    for i in range(n_sweeps):
+    def draw_prior():
+        layer, Y = draw_layer()
+        return layer.mask * layer.slab, Y
+
+    state = None
+
+    def step():
+        nonlocal state
+        if state is None:
+            layer, Y = draw_layer()
+            sigma = np.maximum(np.abs((layer.mask * layer.slab) @ Y), hyper.sigma_floor)
+            X = sigma * rng.standard_normal((N, T))
+            state = ChainState(X=X, Y=Y, mask=layer.mask, slab=layer.slab, layer_hyper=hyper)
         gibbs_sweep(state, rng)
         resample_data(state, rng)
-        chain[i] = _geweke_stats(state.mask * state.slab, state.Y)
-    chain = chain[burn_in:]
+        # The slab is zero wherever the mask is, so it is the effective weight.
+        return state.slab, state.Y
 
-    names = ("mean_w", "mean_w_sq", "mean_y", "mean_y_sq")
-    zs = {}
-    batch_means = chain[: len(chain) // batches * batches].reshape(batches, -1, 4).mean(axis=1)
-    for j, name in enumerate(names):
-        se_prior = prior[:, j].std(ddof=1) / math.sqrt(n_prior)
-        se_chain = batch_means[:, j].std(ddof=1) / math.sqrt(batches)
-        zs[name] = float(
-            abs(prior[:, j].mean() - chain[:, j].mean()) / math.hypot(se_prior, se_chain)
-        )
+    zs = geweke(draw_prior, step, _moment_stats, n_prior, n_sweeps, burn_in, batches)
+    state.check_consistency()
     return zs
 
 
@@ -556,7 +631,7 @@ def _check_ibp_finite_limit() -> ValidationCheck:
             - sum(math.lgamma(c + 1.0) for c in lof.multiplicities)
         )
         finite = log_count + ibp.logprob_mask_marginal(rep, alpha)
-        process = ibp.logprob_mask_ibp(Z, alpha)
+        process = ibp.logprob_lof_class(lof, alpha)
         err = max(err, abs(math.exp(finite) - math.exp(process)))
     return ValidationCheck("process law is the finite-mask limit", err, 1e-4)
 

@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from deepibp import dataio
+from deepibp import dataio, oracle
 from deepibp.cli import main
 
 STACK = {
@@ -98,6 +98,13 @@ STUDY_TRACES = {
     ),
 }
 SUMMARY = "K_true,init,mean,variance\n3,fixed2,3.0,0.0\n3,random3to6,5.0,0.0\n"
+# |z| per moment of a short criterion-5 Geweke run at its seed.
+GEWEKE_ZS = {
+    "mean_w": 0.06380531486261279,
+    "mean_w_sq": 0.4951720007683663,
+    "mean_y": 0.3809997012915344,
+    "mean_y_sq": 1.044826877599529,
+}
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +162,9 @@ def test_experiment_is_pinned(runs):
         assert (k, adds, dels) == (want_k, want_adds, want_dels), name
         np.testing.assert_allclose(lj[-1], want_last, rtol=1e-9)
     assert (runs / "study" / "summary.csv").read_text() == SUMMARY
+
+
+def test_geweke_moment_zs_is_pinned():
+    zs = oracle.geweke_moment_zs(n_prior=2000, n_sweeps=400, burn_in=40, batches=8, seed=404)
+    assert list(zs) == list(GEWEKE_ZS)
+    np.testing.assert_allclose(list(zs.values()), list(GEWEKE_ZS.values()), rtol=1e-9)

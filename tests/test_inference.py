@@ -94,6 +94,54 @@ def test_chain_state_shape_validation():
         )
 
 
+def test_chain_state_copies_the_arrays_it_is_given():
+    rng = np.random.default_rng(40)
+    mask = (rng.random((5, 3)) < 0.6).astype(np.int8)
+    slab = rng.standard_normal((5, 3)) * mask
+    Y = rng.standard_normal((3, 8))
+    given = [mask.copy(), slab.copy(), Y.copy()]
+    state = ChainState(X=rng.standard_normal((5, 8)), Y=Y, mask=mask, slab=slab, layer_hyper=HYPER)
+    for _ in range(3):
+        gibbs_sweep(state, rng)
+    for mine, theirs, before in zip((state.mask, state.slab, state.Y), (mask, slab, Y), given):
+        assert not np.shares_memory(mine, theirs)
+        np.testing.assert_array_equal(theirs, before)
+    assert not np.array_equal(state.Y, Y)
+
+
+def _count_log_joint_calls(monkeypatch):
+    calls = []
+    priced = model.log_joint
+    monkeypatch.setattr(model, "log_joint", lambda st: calls.append(1) or priced(st))
+    return calls
+
+
+def test_log_joint_is_priced_on_first_read_after_refresh(monkeypatch):
+    state = _random_state(np.random.default_rng(41))
+    calls = _count_log_joint_calls(monkeypatch)
+    state.refresh()
+    assert calls == []
+    first = state.log_joint_cached
+    assert first == state.log_joint_cached
+    assert len(calls) == 1
+    assert first == model.log_joint(state)
+
+
+def test_log_joint_is_repriced_after_resample_data(monkeypatch):
+    rng = np.random.default_rng(42)
+    state = _random_state(rng)
+    gibbs_sweep(state, rng)
+    before = state.log_joint_cached
+    calls = _count_log_joint_calls(monkeypatch)
+    resample_data(state, rng)
+    assert calls == []
+    after = state.log_joint_cached
+    assert len(calls) == 1
+    assert after != before
+    assert after == model.log_joint(state)
+    state.check_consistency()
+
+
 def test_caches_stay_consistent_across_sweeps():
     rng = np.random.default_rng(4)
     state = _random_state(rng)
@@ -134,12 +182,12 @@ def test_check_consistency_catches_each_stale_cache(cache):
     assert np.unique(state.sigma_y).size > 1
     state.check_consistency()
     if cache == "log_joint_cached":
-        state.log_joint_cached += 1e-3
+        state._log_joint_memo = state.log_joint_cached + 1e-3
     else:
         getattr(state, cache).flat[0] += 1
         # A log-joint priced from the stale cache agrees with it, so only
         # the cache's own check can catch it.
-        state.log_joint_cached = model.log_joint(state)
+        state._log_joint_memo = model.log_joint(state)
     with pytest.raises(AssertionError):
         state.check_consistency()
 

@@ -99,6 +99,40 @@ def test_frozen_kernel_state_is_reproducible_and_consistent():
     assert a.N == 4 and a.K == 2 and a.T == 10
 
 
+def _toy_geweke(scale, seed=0):
+    rng = np.random.default_rng(seed)
+
+    def forward():
+        return rng.standard_normal(3)
+
+    def stats(x):
+        return {"mean": x.mean(axis=1), "sq": (x * x).mean(axis=1)}
+
+    return oracle.geweke(forward, lambda: scale * forward(), stats,
+                         n_prior=4000, n_sweeps=4200, burn_in=200, batches=20)
+
+
+def test_geweke_harness_passes_an_exact_step():
+    zs = _toy_geweke(1.0)
+    assert set(zs) == {"mean", "sq"}
+    assert max(zs.values()) < 4.0
+
+
+def test_geweke_harness_flags_a_wrong_step():
+    assert _toy_geweke(1.5)["sq"] > 20.0
+
+
+@pytest.mark.parametrize("sizes, name", [
+    (dict(n_prior=1, n_sweeps=10, burn_in=0, batches=5), "n_prior"),
+    (dict(n_prior=50, n_sweeps=10, burn_in=-1, batches=5), "burn_in"),
+    (dict(n_prior=50, n_sweeps=10, burn_in=0, batches=1), "batches"),
+    (dict(n_prior=50, n_sweeps=10, burn_in=8, batches=5), "n_sweeps"),
+])
+def test_geweke_rejects_sizes_that_cannot_give_a_z(sizes, name):
+    with pytest.raises(ValueError, match=name):
+        oracle.geweke_moment_zs(**sizes)
+
+
 def test_validation_suite_all_green():
     report = run_validation()
     assert report.ok, "\n".join(report.lines())
