@@ -75,24 +75,31 @@ def _p_axis_integrals(m_minus: int, N: int, alpha_over_K: float, num_points: int
     return spike / den, slab / den
 
 
+# How far, in nats below its peak, the slab quadrature follows the
+# integrand.  The mass it leaves out is of order e^-30 of the total.
+_QUADRATURE_NATS = 30.0
+
+
 def slab_logmarginal_quadrature(sq_sum: float, count: int, ig_shape: float, ig_scale: float,
                                 num_points: int = 20001) -> float:
     """Quadrature counterpart of the closed-form slab column marginal.
 
     The log of int prod_i N(g_i; 0, s2) InvGamma(s2; shape, scale) d s2,
     in which only the squared sum of the ``count`` values matters.
-    Integrates on a log-spaced variance grid wide enough to cover the
-    integrand's inverse-gamma-shaped bulk.
+    Integrates by the trapezoid rule in u = log s2, where the
+    log-integrand is -A u - B e^-u up to a constant, with
+    A = shape + count / 2 and B = scale + sq_sum / 2.  It peaks at
+    u* = log(B / A) and, d = u - u* from there, falls by
+    A (d + e^-d - 1).  The grid ends where that fall first reaches
+    ``_QUADRATURE_NATS`` by simple bounds: on the right the slope A
+    (d = 1 + nats / A), on the left the double exponential
+    (e^|d| = 2 + 2 nats / A).
     """
-    # Imported here so that importing deepibp does not load scipy.special.
-    from scipy.special import gammainccinv
-
     a_post = ig_shape + 0.5 * count
     b_post = ig_scale + 0.5 * sq_sum
-    # Inverse-gamma quantiles: b / Q^-1(a, q), Q the regularised upper gamma.
-    lo = 1.0 / gammainccinv(a_post, 1e-10) * b_post / 50.0
-    hi = 1.0 / gammainccinv(a_post, 1.0 - 1e-10) * b_post * 50.0
-    u = np.linspace(math.log(lo), math.log(hi), num_points)
+    u_peak = math.log(b_post / a_post)
+    reach = _QUADRATURE_NATS / a_post
+    u = np.linspace(u_peak - math.log(2.0 + 2.0 * reach), u_peak + 1.0 + reach, num_points)
     s2 = np.exp(u)
     log_f = (
         ig_shape * math.log(ig_scale)
@@ -204,6 +211,17 @@ def lof_class_probabilities(N: int, alpha: float, max_k: int) -> dict[ibp.LofCla
 
 # -- frozen kernel state and total-variation checks -----------------------
 
+# Rows per block wherever a check reduces many rows one at a time: TV
+# reference grid points, and Geweke draws.  Blocks keep the temporaries
+# small; each row reduces on its own, so the floats do not depend on it.
+_BLOCK = 1024
+
+
+def _by_blocks(f, rows: np.ndarray) -> np.ndarray:
+    """``f(rows)`` evaluated ``_BLOCK`` rows at a time, for an ``f`` that maps each row alone."""
+    return np.concatenate([f(rows[i:i + _BLOCK]) for i in range(0, len(rows), _BLOCK)])
+
+
 def frozen_kernel_state(seed: int = 7):
     """A small fixed chain state for 1-D kernel checks (N=4, K=2, T=10).
 
@@ -293,7 +311,7 @@ def weight_kernel_tv(kept: int = 100_000, thin: int = 5, n_bins: int = 24,
     log_d = (
         math.log(slab_p)
         + model.student_t_logpdf(grid, df, t_scale)
-        + loglik(grid)
+        + _by_blocks(loglik, grid)
         - lik0
     )
     log_atom = math.log(spike_p)  # lik(0) - lik0 == 0
@@ -341,7 +359,7 @@ def factor_kernel_tv(kept: int = 100_000, thin: int = 5, n_bins: int = 24,
         for _ in range(thin):
             gibbs_update_factor(state, k0, t0, rng)
         draws[j] = state.Y[k0, t0]
-    return _grid_tv(draws, grid, logtarget(grid), -math.inf, n_bins)
+    return _grid_tv(draws, grid, _by_blocks(logtarget, grid), -math.inf, n_bins)
 
 
 def ibp_sampler_max_z(num_draws: int, seed: int, min_expected: float = 10.0,
@@ -394,23 +412,39 @@ def dish_count_mean_z(num_draws: int, seed: int, N: int = 10, alpha: float = 3.0
 _GEWEKE_HYPER = dict(alpha_ibp=2.0, ig_shape=4.0, ig_scale=3.0, sigma_top=1.0, sigma_floor=0.3)
 
 
-def _record(draw, n: int, burn_in: int = 0) -> list[np.ndarray]:
-    """Call ``draw`` burn_in + n times and keep the last n snapshots.
+def _record(draw, stats, n: int, burn_in: int = 0,
+            names: list[str] | None = None) -> tuple[list[str], np.ndarray]:
+    """Call ``draw`` burn_in + n times; keep the per-draw statistics of the last n.
 
-    A snapshot is an array or a tuple of arrays of fixed shapes; each
-    part is copied into a preallocated (n, ...) array.
+    A snapshot is an array or a tuple of arrays of fixed shapes.  Up to
+    ``_BLOCK`` snapshots are copied into one block buffer per part, and
+    ``stats`` is applied to each full or partial block; only its values
+    are kept, so memory does not grow with n times the snapshot size.
+    Returns the statistic names (``names`` if given, else the order of
+    the first block's dict) and an (n, statistic) array of their values
+    in draw order.
     """
     for _ in range(burn_in):
         draw()
-    out: list[np.ndarray] = []
-    for i in range(n):
-        snap = draw()
-        parts = snap if isinstance(snap, tuple) else (snap,)
-        if not out:
-            out = [np.empty((n,) + np.shape(a), dtype=np.result_type(a)) for a in parts]
-        for buf, a in zip(out, parts):
-            buf[i] = a
-    return out
+    bufs: list[np.ndarray] = []
+    out = None
+    for start in range(0, n, _BLOCK):
+        size = min(_BLOCK, n - start)
+        for i in range(size):
+            snap = draw()
+            parts = snap if isinstance(snap, tuple) else (snap,)
+            if not bufs:
+                bufs = [np.empty((min(n, _BLOCK),) + np.shape(a), dtype=np.result_type(a))
+                        for a in parts]
+            for buf, a in zip(bufs, parts):
+                buf[i] = a
+        block = stats(*(buf[:size] for buf in bufs))
+        if out is None:
+            names = list(block) if names is None else names
+            out = np.empty((n, len(names)), dtype=np.result_type(*(block[k] for k in names)))
+        for j, name in enumerate(names):
+            out[start:start + size, j] = block[name]
+    return names, out
 
 
 def geweke(forward, step, stats, n_prior: int, n_sweeps: int, burn_in: int,
@@ -420,15 +454,17 @@ def geweke(forward, step, stats, n_prior: int, n_sweeps: int, burn_in: int,
     ``forward()`` returns an independent draw from the law and
     ``step()`` advances a chain that should leave the law invariant and
     returns its current draw; either draw is an array or a tuple of
-    arrays of fixed shapes.  The harness keeps ``n_prior`` forward draws
+    arrays of fixed shapes.  The harness takes ``n_prior`` forward draws
     and, after ``burn_in`` unkept steps, ``n_sweeps - burn_in`` chain
-    draws.  ``stats(*parts)`` maps the stacked draws, each part with a
-    leading draw axis, to a dict of per-draw statistics.  Returns |z|
-    per statistic for the difference of the two means; the chain side's
-    standard error uses ``batches`` batch means to absorb
-    autocorrelation (a remainder of kept draws that does not fill a
-    batch counts towards the mean only).  The prior side is drawn first,
-    then the chain side.
+    draws.  ``stats(*parts)`` maps stacked draws, each part with a
+    leading draw axis, to a dict of per-draw statistics; each statistic
+    of a draw must depend on that draw alone, because the harness
+    applies ``stats`` to blocks of at most ``_BLOCK`` draws and keeps
+    only the statistics (``_record``).  Returns |z| per statistic for
+    the difference of the two means; the chain side's standard error
+    uses ``batches`` batch means to absorb autocorrelation (a remainder
+    of kept draws that does not fill a batch counts towards the mean
+    only).  The prior side is drawn first, then the chain side.
     """
     if n_prior < 2:
         raise ValueError(f"n_prior must be >= 2, got {n_prior}")
@@ -441,13 +477,10 @@ def geweke(forward, step, stats, n_prior: int, n_sweeps: int, burn_in: int,
         raise ValueError(
             f"n_sweeps - burn_in = {kept} kept sweeps cannot fill batches = {batches}"
         )
-    prior_stats = stats(*_record(forward, n_prior))
-    chain_stats = stats(*_record(step, kept, burn_in))
-    names = list(prior_stats)
     # One (draw, statistic) array per side: the means below then sum in
     # a fixed order, so a pinned z stays the same float.
-    prior = np.column_stack([prior_stats[name] for name in names])
-    chain = np.column_stack([chain_stats[name] for name in names])
+    names, prior = _record(forward, stats, n_prior)
+    _, chain = _record(step, stats, kept, burn_in, names)
     batch_means = chain[: kept // batches * batches].reshape(batches, -1, len(names)).mean(axis=1)
     zs = {}
     for j, name in enumerate(names):
@@ -496,26 +529,29 @@ def geweke_moment_zs(
     from .inference import ChainState, gibbs_sweep, resample_data
     from .model import LayerHyper
 
+    if min(N, K, T) < 1:
+        raise ValueError(f"N, K and T must be >= 1, got {N}, {K}, {T}")
     hyper = LayerHyper(**_GEWEKE_HYPER)
     rng = np.random.default_rng(seed)
 
     def draw_layer():
-        layer = model.sample_weight_layer(N, K, hyper.alpha_ibp, hyper.ig_shape, hyper.ig_scale, rng)
-        return layer, hyper.sigma_top * rng.standard_normal((K, T))
+        # The draws of sample_weight_layer, without its wrapper re-checking each fresh mask.
+        mask, slab = model._prior_columns(N, K, hyper.alpha_ibp / K, hyper.ig_shape, hyper.ig_scale, rng)
+        return mask, slab, hyper.sigma_top * rng.standard_normal((K, T))
 
     def draw_prior():
-        layer, Y = draw_layer()
-        return layer.mask * layer.slab, Y
+        mask, slab, Y = draw_layer()
+        return mask * slab, Y
 
     state = None
 
     def step():
         nonlocal state
         if state is None:
-            layer, Y = draw_layer()
-            sigma = np.maximum(np.abs((layer.mask * layer.slab) @ Y), hyper.sigma_floor)
+            mask, slab, Y = draw_layer()
+            sigma = np.maximum(np.abs((mask * slab) @ Y), hyper.sigma_floor)
             X = sigma * rng.standard_normal((N, T))
-            state = ChainState(X=X, Y=Y, mask=layer.mask, slab=layer.slab, layer_hyper=hyper)
+            state = ChainState(X=X, Y=Y, mask=mask, slab=slab, layer_hyper=hyper)
         gibbs_sweep(state, rng)
         resample_data(state, rng)
         # The slab is zero wherever the mask is, so it is the effective weight.
@@ -613,7 +649,10 @@ def _check_ibp_finite_limit() -> ValidationCheck:
     collects K!/(K - K+)! / prod_h K_h! arrangements of a K-column
     finite mask whose remaining columns are zero; the finite marginal
     of any one arrangement times that count converges to the process
-    law as K grows, at rate O(1/K).
+    law as K grows, at rate O(1/K).  The finite marginal is a sum of
+    per-column terms at a = alpha / K, so it is priced as the K+ linked
+    columns plus K - K+ copies of the empty column's term: no array
+    has K entries.
     """
     K = 1_000_000
     alpha = 1.5
@@ -622,15 +661,15 @@ def _check_ibp_finite_limit() -> ValidationCheck:
         Z = np.array(cols, dtype=np.int8).T
         N, K_plus = Z.shape
         lof = ibp.left_order_form(Z)
-        a = alpha / K
-        rep = np.zeros((N, K), dtype=np.int8)
-        rep[:, :K_plus] = Z
         log_count = (
             math.lgamma(K + 1.0)
             - math.lgamma(K - K_plus + 1.0)
             - sum(math.lgamma(c + 1.0) for c in lof.multiplicities)
         )
-        finite = log_count + ibp.logprob_mask_marginal(rep, alpha)
+        # Each call's alpha is scaled so that its own a is alpha / K.
+        linked = ibp.logprob_mask_marginal_counts(Z.sum(axis=0), N, alpha * K_plus / K)
+        empty = ibp.logprob_mask_marginal_counts(np.zeros(1, dtype=np.int64), N, alpha / K)
+        finite = log_count + linked + (K - K_plus) * empty
         process = ibp.logprob_lof_class(lof, alpha)
         err = max(err, abs(math.exp(finite) - math.exp(process)))
     return ValidationCheck("process law is the finite-mask limit", err, 1e-4)

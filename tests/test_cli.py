@@ -397,9 +397,14 @@ def test_console_script_smoke():
 
 
 def test_import_loads_no_scipy():
-    # scipy.special costs about 0.3 s of import; only validate's
-    # quadrature and the experiment manifest load scipy, on first use.
+    # scipy.special costs about 0.3 s of import; only the experiment
+    # manifest loads scipy, on first use, to record its version.  The
+    # quadrature and finite-limit checks of validate load none.
     code = ("import sys, deepibp, deepibp.cli\n"
+            "from deepibp import oracle\n"
+            "for check in (oracle._check_spike_mass, oracle._check_slab_density,\n"
+            "              oracle._check_slab_marginal, oracle._check_ibp_finite_limit):\n"
+            "    assert check().passed, check.__name__\n"
             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=_child_env())

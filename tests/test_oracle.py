@@ -1,6 +1,8 @@
 """Tests for the quadrature and enumeration oracles and the validation suite."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,10 +50,14 @@ def test_slab_density_quadrature_matches_student_t():
 
 
 def test_slab_logmarginal_quadrature_matches_closed_form():
-    for sq, count in ((0.0, 0), (1.0, 1), (3.7, 4)):
-        got = slab_logmarginal_quadrature(sq, count, 2.0, 1.0)
-        expect = model.slab_column_logmarginal(sq, count, 2.0, 1.0)
-        assert abs(got - expect) < 1e-8
+    # The grid's ends follow the integrand's peak and fall-off, so they
+    # must hold from an empty column to a wide one, at every prior.
+    cases = itertools.product((0.0, 1e-6, 0.3, 3.7, 50.0, 1e3), (0, 1, 4, 40),
+                              (0.5, 2.0, 4.0), (0.1, 1.0, 3.0))
+    for sq, count, shape, scale in cases:
+        got = slab_logmarginal_quadrature(sq, count, shape, scale)
+        expect = model.slab_column_logmarginal(sq, count, shape, scale)
+        assert abs(got - expect) < 1e-8, (sq, count, shape, scale)
 
 
 def test_marginal_weight_quadrature_vanishes_in_the_tails():
@@ -122,11 +128,108 @@ def test_geweke_harness_flags_a_wrong_step():
     assert _toy_geweke(1.5)["sq"] > 20.0
 
 
+def _stacked_geweke(forward, step, stats, n_prior, n_sweeps, burn_in, batches):
+    # The one-pass reduction: every draw kept, statistics taken at once.
+    prior = [forward() for _ in range(n_prior)]
+    for _ in range(burn_in):
+        step()
+    chain = [step() for _ in range(n_sweeps - burn_in)]
+    prior_stats = stats(*map(np.stack, zip(*prior)))
+    chain_stats = stats(*map(np.stack, zip(*chain)))
+    names = list(prior_stats)
+    prior = np.column_stack([prior_stats[name] for name in names])
+    chain = np.column_stack([chain_stats[name] for name in names])
+    kept = n_sweeps - burn_in
+    batch_means = chain[: kept // batches * batches].reshape(batches, -1, len(names)).mean(axis=1)
+    zs = {}
+    for j, name in enumerate(names):
+        se_prior = prior[:, j].std(ddof=1) / math.sqrt(n_prior)
+        se_chain = batch_means[:, j].std(ddof=1) / math.sqrt(batches)
+        zs[name] = float(
+            abs(prior[:, j].mean() - chain[:, j].mean()) / math.hypot(se_prior, se_chain)
+        )
+    return zs
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_geweke_blocks_give_the_one_pass_zs(block, monkeypatch):
+    # Neither side's kept draws fill a whole number of blocks.
+    if block is not None:
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+    n_prior, n_sweeps, burn_in = 2 * oracle._BLOCK + 13, oracle._BLOCK + 60, 31
+    assert n_prior % oracle._BLOCK and (n_sweeps - burn_in) % oracle._BLOCK
+
+    def run(harness):
+        rng = np.random.default_rng(5)
+        state = np.zeros(4)
+
+        def forward():
+            return rng.standard_normal((2, 3)), rng.gamma(2.0, size=4)
+
+        def step():
+            state[:] = 0.8 * state + 0.6 * rng.standard_normal(4)
+            return np.outer(state[:2], state[1:]), np.exp(state)
+
+        def stats(a, b):
+            flat = a.reshape(len(a), -1)
+            return {"sq": (flat * flat).mean(axis=1), "log_b": np.log(b).sum(axis=1),
+                    "mix": flat[:, 0] * b[:, -1]}
+
+        return harness(forward, step, stats, n_prior=n_prior, n_sweeps=n_sweeps,
+                       burn_in=burn_in, batches=6)
+
+    got = run(oracle.geweke)
+    expect = run(_stacked_geweke)
+    assert list(got) == list(expect)
+    assert [v.hex() for v in got.values()] == [v.hex() for v in expect.values()]
+
+
+def _traced_peak_mb(fn):
+    """Peak of the memory ``fn`` holds at once above what was held before, in MB."""
+    fn()  # warm: imports and lazy set-up are not the check's own memory
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / 1e6
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def _wide_toy_geweke():
+    rng = np.random.default_rng(1)
+
+    def forward():
+        return rng.standard_normal(50)
+
+    def stats(x):
+        return {"mean": x.mean(axis=1), "sq": (x * x).mean(axis=1)}
+
+    return oracle.geweke(forward, forward, stats, n_prior=20_000, n_sweeps=40, burn_in=0, batches=4)
+
+
+@pytest.mark.parametrize("fn, limit_mb", [
+    (oracle._check_ibp_finite_limit, 1.0),
+    (lambda: oracle.weight_kernel_tv(kept=50, thin=1), 4.0),
+    (lambda: oracle.factor_kernel_tv(kept=50, thin=1), 2.5),
+    (_wide_toy_geweke, 2.0),
+], ids=["finite_limit", "weight_tv", "factor_tv", "geweke_20k_by_50"])
+def test_oracle_checks_run_in_bounded_memory(fn, limit_mb):
+    # numpy reports its buffers to tracemalloc.  Keeping every raw draw,
+    # a million-column mask or a whole (grid, T) temporary would cost
+    # several times these limits.
+    assert _traced_peak_mb(fn) < limit_mb
+
+
 @pytest.mark.parametrize("sizes, name", [
     (dict(n_prior=1, n_sweeps=10, burn_in=0, batches=5), "n_prior"),
     (dict(n_prior=50, n_sweeps=10, burn_in=-1, batches=5), "burn_in"),
     (dict(n_prior=50, n_sweeps=10, burn_in=0, batches=1), "batches"),
     (dict(n_prior=50, n_sweeps=10, burn_in=8, batches=5), "n_sweeps"),
+    (dict(n_prior=50, n_sweeps=10, burn_in=0, batches=5, K=0), "K"),
 ])
 def test_geweke_rejects_sizes_that_cannot_give_a_z(sizes, name):
     with pytest.raises(ValueError, match=name):
