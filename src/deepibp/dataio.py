@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import tempfile
 from pathlib import Path
 
@@ -89,7 +88,7 @@ def read_dataset_csv(path) -> np.ndarray:
         raise DataFormatError(path, 1, "empty file")
     header = lines[0].split(",")
     for j, name in enumerate(header):
-        if not re.fullmatch(r"t\d+", name):
+        if name != f"t{j}":
             raise DataFormatError(path, 1, f"bad header field {name!r} (expected t{j})")
     T = len(header)
     rows = []

@@ -125,6 +125,11 @@ class ChainTrace:
         )
 
 
+def _same_shape_close(cached: np.ndarray, fresh: np.ndarray, rtol: float, atol: float) -> bool:
+    """``np.allclose`` without broadcasting: a cache of the wrong shape never matches."""
+    return cached.shape == fresh.shape and np.allclose(cached, fresh, rtol=rtol, atol=atol)
+
+
 @dataclass
 class ChainState:
     """Sampler state for one layer: data, factors, mask/slab, caches.
@@ -210,13 +215,15 @@ class ChainState:
         The state is priced afresh, which must give a finite log-joint
         that matches the memo whenever one is held.
         """
-        np.testing.assert_array_equal(self.m, self.mask.sum(axis=0, dtype=np.int64))
-        np.testing.assert_allclose(self.S, self.slab @ self.Y, atol=1e-10)
-        np.testing.assert_allclose(
-            self.sigma_y,
-            model.factor_prior_sigma(self.K, self.T, self.layer_hyper, self.parent_context),
-            rtol=1e-12,
-        )
+        # Plain numpy comparisons: np.testing would import unittest and
+        # more for the life of the process.
+        if not np.array_equal(self.m, self.mask.sum(axis=0, dtype=np.int64)):
+            raise AssertionError("cached m does not match the mask's column counts")
+        if not _same_shape_close(self.S, self.slab @ self.Y, rtol=1e-7, atol=1e-10):
+            raise AssertionError("cached S does not match slab @ Y")
+        fresh_sigma = model.factor_prior_sigma(self.K, self.T, self.layer_hyper, self.parent_context)
+        if not _same_shape_close(self.sigma_y, fresh_sigma, rtol=1e-12, atol=0.0):
+            raise AssertionError("cached sigma_y does not match the factor prior")
         if np.any((self.mask == 0) & (self.slab != 0.0)):
             raise AssertionError("slab must be zero wherever the mask is zero")
         # The log-joint reads the caches checked above.

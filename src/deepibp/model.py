@@ -308,17 +308,18 @@ def generate_dataset(model: GenerativeModel, T: int, rng: np.random.Generator) -
 class ParentContext:
     """Fixed upper-layer weights and factors during one layer's inference.
 
-    Holds read-only copies of the arrays it is given, so later changes
-    to the upper layer's live state do not reach it.
+    Holds read-only copies of the arrays it is given, both checked 2-D
+    and finite, so later changes to the upper layer's live state do not
+    reach it.
     """
 
     weights: np.ndarray
     factors: np.ndarray
 
     def __post_init__(self) -> None:
-        W = np.array(self.weights, dtype=float)
+        W = as_factor_matrix(self.weights).copy()
         Y = as_factor_matrix(self.factors).copy()
-        if W.ndim != 2 or W.shape[1] != Y.shape[0]:
+        if W.shape[1] != Y.shape[0]:
             raise ValueError(
                 f"context weights {W.shape} do not chain with factors {Y.shape}"
             )

@@ -9,6 +9,7 @@ CLI subcommand.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,12 +189,15 @@ def freq_standard_error(p: float, num_draws: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / num_draws)
 
 
-def lof_class_probabilities(N: int, alpha: float, max_k: int) -> dict[ibp.LofClass, float]:
-    """Process-law probabilities of every left-ordered class with K <= max_k.
+def lof_class_probabilities(N: int, alpha: float, max_k: int) -> Iterator[tuple[ibp.LofClass, float]]:
+    """Yield each left-ordered class with K <= max_k and its process-law probability.
 
     Classes are multisets of nonzero column histories.  Drawn in
     non-increasing order, each multiset is already left-ordered, so it
     is built as its class directly and priced by the process law.
+    Classes come by K, then in that order within K; each is yielded as
+    it is built, so a caller keeps only the classes it needs (N=3,
+    max_k=8 gives 6,435 of them).
     """
     import itertools
 
@@ -201,12 +205,10 @@ def lof_class_probabilities(N: int, alpha: float, max_k: int) -> dict[ibp.LofCla
     for h in range(1, 2 ** N):
         histories.append(tuple((h >> (N - 1 - n)) & 1 for n in range(N)))
     histories.sort(reverse=True)
-    out: dict[ibp.LofClass, float] = {}
     for k in range(max_k + 1):
         for combo in itertools.combinations_with_replacement(histories, k):
             cls = ibp.LofClass.from_histories(combo, N)
-            out[cls] = math.exp(ibp.logprob_lof_class(cls, alpha))
-    return out
+            yield cls, math.exp(ibp.logprob_lof_class(cls, alpha))
 
 
 # -- frozen kernel state and total-variation checks -----------------------
@@ -218,8 +220,11 @@ _BLOCK = 1024
 
 
 def _by_blocks(f, rows: np.ndarray) -> np.ndarray:
-    """``f(rows)`` evaluated ``_BLOCK`` rows at a time, for an ``f`` that maps each row alone."""
-    return np.concatenate([f(rows[i:i + _BLOCK]) for i in range(0, len(rows), _BLOCK)])
+    """``f(rows)`` evaluated ``_BLOCK`` rows at a time, for an ``f`` that maps each row to one float."""
+    out = np.empty(len(rows))
+    for i in range(0, len(rows), _BLOCK):
+        out[i:i + _BLOCK] = f(rows[i:i + _BLOCK])
+    return out
 
 
 def frozen_kernel_state(seed: int = 7):
@@ -257,8 +262,19 @@ def _grid_tv(draws: np.ndarray, grid: np.ndarray, log_d: np.ndarray, log_atom: f
     outside the span (zero under the law).
     """
     shift = max(float(log_d.max()), log_atom)
-    dens = np.exp(log_d - shift)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+    dens = np.subtract(log_d, shift)
+    np.exp(dens, out=dens)
+    # The trapezoid pieces go in one buffer and their running sum into
+    # the density's, which is spent by then.  The operations and their
+    # order are those of
+    # np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)),
+    # so the values are that expression's.
+    piece = np.add(dens[1:], dens[:-1])
+    piece *= 0.5
+    piece *= np.subtract(grid[1:], grid[:-1], out=dens[1:])
+    cum = dens
+    cum[0] = 0.0
+    np.cumsum(piece, out=cum[1:])
     atom_unnorm = math.exp(log_atom - shift)
     Z = atom_unnorm + cum[-1]
     edges = np.linspace(grid[0], grid[-1], n_bins + 1)
@@ -306,14 +322,13 @@ def weight_kernel_tv(kept: int = 100_000, thin: int = 5, n_bins: int = 24,
         return -0.5 * x_row.size * model.LOG_2PI - np.log(s).sum(axis=1) - 0.5 * (z * z).sum(axis=1)
 
     lik0 = float(loglik(0.0)[0])
+
+    def log_density(w):
+        return math.log(slab_p) + model.student_t_logpdf(w, df, t_scale) + loglik(w) - lik0
+
     L = 15.0 * t_scale
     grid = np.linspace(-L, L, 40001)
-    log_d = (
-        math.log(slab_p)
-        + model.student_t_logpdf(grid, df, t_scale)
-        + _by_blocks(loglik, grid)
-        - lik0
-    )
+    log_d = _by_blocks(log_density, grid)
     log_atom = math.log(spike_p)  # lik(0) - lik0 == 0
 
     rng = np.random.default_rng(seed)
@@ -374,8 +389,9 @@ def ibp_sampler_max_z(num_draws: int, seed: int, min_expected: float = 10.0,
     """
     rng = np.random.default_rng(seed)
     freqs = mc_lof_histogram(ibp.sample_ibp_sequential, N, alpha, num_draws, rng)
-    probs = lof_class_probabilities(N, alpha, max_k)
-    tested = {cls: p for cls, p in probs.items() if p * num_draws >= min_expected}
+    tested = {
+        cls: p for cls, p in lof_class_probabilities(N, alpha, max_k) if p * num_draws >= min_expected
+    }
     worst = 0.0
     for cls, p in tested.items():
         se = freq_standard_error(p, num_draws)
@@ -604,9 +620,14 @@ def _check_spike_slab_integrates() -> ValidationCheck:
     err = 0.0
     for p, s2 in ((0.5, 2.0), (0.3, 0.5)):
         width = 50.0 * math.sqrt(s2)
-        w = np.linspace(-width, width, 100001)
-        cont = np.exp(np.log(p) - 0.5 * (model.LOG_2PI + np.log(s2)) - w * w / (2.0 * s2))
-        err = max(err, abs(float(np.trapezoid(cont, w)) - p))
+        # The grid, then the density in place of it.  The grid is
+        # uniform, so the trapezoid rule is h (sum f - (f_0 + f_last) / 2).
+        f, h = np.linspace(-width, width, 100001, retstep=True)
+        np.square(f, out=f)
+        f /= -2.0 * s2
+        f += math.log(p) - 0.5 * (model.LOG_2PI + math.log(s2))
+        np.exp(f, out=f)
+        err = max(err, abs(h * (float(f.sum()) - 0.5 * (f[0] + f[-1])) - p))
     return ValidationCheck("spike-and-slab continuous part integrates to p", err, 1e-8)
 
 

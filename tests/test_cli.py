@@ -172,6 +172,11 @@ def test_infer_malformed_csv_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "bad.csv:2" in err
+    # Header fields must read t0, t1, ... in order.
+    bad.write_text("t0,t0,t7\n1.0,2.0,3.0\n")
+    assert main(["infer", str(bad), "--out", str(tmp_path / "y")]) == 2
+    assert "bad.csv:1" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
 
 
 def test_infer_missing_file_exits_2(tmp_path, capsys):
@@ -406,6 +411,27 @@ def test_import_loads_no_scipy():
             "              oracle._check_slab_marginal, oracle._check_ibp_finite_limit):\n"
             "    assert check().passed, check.__name__\n"
             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
+def test_chain_checks_load_no_test_framework():
+    # numpy.testing imports unittest and more, which would stay loaded
+    # for the life of the process; the chain's own cache checks use
+    # plain numpy comparisons.
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from deepibp.inference import InferenceConfig, run_mh_layer\n"
+            "from deepibp.model import LayerHyper\n"
+            "rng = np.random.default_rng(3)\n"
+            "hyper = LayerHyper(alpha_ibp=2.0, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0,\n"
+            "                   sigma_floor=1e-6)\n"
+            "state, _ = run_mh_layer(rng.standard_normal((4, 6)), InferenceConfig(iterations=3),\n"
+            "                        hyper, rng=rng)\n"
+            "state.check_consistency()\n"
+            "print(' '.join(m for m in sys.modules if m.startswith(('numpy.testing', 'unittest'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=_child_env())
     assert proc.returncode == 0, proc.stderr

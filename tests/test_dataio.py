@@ -67,6 +67,7 @@ def _expect_error(tmp_path, content, line, fragment):
 def test_read_dataset_error_reporting(tmp_path):
     _expect_error(tmp_path, "", 1, "empty file")
     _expect_error(tmp_path, "a0,t1\n1.0,2.0\n", 1, "bad header field 'a0'")
+    _expect_error(tmp_path, "t0,t0,t7\n1.0,2.0,3.0\n", 1, "bad header field 't0' (expected t1)")
     _expect_error(tmp_path, "t0,t1\n1.0,2.0\n\n3.0,4.0\n", 3, "blank line")
     _expect_error(tmp_path, "t0,t1\n1.0\n", 2, "expected 2 fields, found 1")
     _expect_error(tmp_path, "t0,t1\n1.0,2.0\n3.0,oops\n", 3, "not a number: 'oops'")

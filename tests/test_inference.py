@@ -172,22 +172,39 @@ def test_chain_state_rejects_bad_mask_or_slab(mask, slab, match):
         ChainState(X=np.ones((3, 4)), Y=np.ones((2, 4)), mask=mask, slab=slab, layer_hyper=HYPER)
 
 
-@pytest.mark.parametrize("cache", ["m", "S", "sigma_y", "log_joint_cached"])
-def test_check_consistency_catches_each_stale_cache(cache):
+def _bump_first(cache):
+    cache.flat[0] += 1
+    return cache
+
+
+@pytest.mark.parametrize("cache, corrupt, with_context", [
+    ("m", _bump_first, True),
+    ("S", _bump_first, True),
+    ("sigma_y", _bump_first, True),
+    ("log_joint_cached", None, True),
+    # Wrong shapes, which a broadcasting comparison would let through.
+    # Without a context every row of sigma_y is sigma_top, so its first
+    # row alone broadcasts to a match.
+    ("m", lambda m: m[:-1], True),
+    ("sigma_y", lambda s: s[:1], False),
+], ids=["m", "S", "sigma_y", "log_joint_cached", "m_one_short", "sigma_y_first_row_only"])
+def test_check_consistency_catches_each_stale_cache(cache, corrupt, with_context):
     rng = np.random.default_rng(30)
     state = _random_state(rng)
-    # Under a context the factor-prior stds vary by entry.
-    ctx = ParentContext(weights=3.0 * rng.standard_normal((2, 2)), factors=rng.standard_normal((2, 8)))
-    state.rebind(state.X, ctx)
-    assert np.unique(state.sigma_y).size > 1
+    if with_context:
+        # Under a context the factor-prior stds vary by entry.
+        ctx = ParentContext(weights=3.0 * rng.standard_normal((2, 2)), factors=rng.standard_normal((2, 8)))
+        state.rebind(state.X, ctx)
+        assert np.unique(state.sigma_y).size > 1
     state.check_consistency()
     if cache == "log_joint_cached":
         state._log_joint_memo = state.log_joint_cached + 1e-3
     else:
-        getattr(state, cache).flat[0] += 1
-        # A log-joint priced from the stale cache agrees with it, so only
-        # the cache's own check can catch it.
-        state._log_joint_memo = model.log_joint(state)
+        setattr(state, cache, corrupt(getattr(state, cache)))
+        if state.m.shape == (state.K,):
+            # A log-joint priced from the stale cache agrees with it, so
+            # only the cache's own check can catch it.
+            state._log_joint_memo = model.log_joint(state)
     with pytest.raises(AssertionError):
         state.check_consistency()
 

@@ -379,6 +379,9 @@ def test_parent_context_copies_its_arrays():
 def test_parent_context_validates_chaining():
     with pytest.raises(ValueError):
         ParentContext(weights=np.zeros((2, 3)), factors=np.zeros((4, 6)))
+    # The weights are checked as the factors are.
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        ParentContext(weights=[[np.nan, 1.0], [0.5, np.inf]], factors=np.ones((2, 3)))
 
 
 def test_as_factor_matrix_rejects_non_finite():

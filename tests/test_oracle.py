@@ -76,14 +76,12 @@ def test_mc_lof_histogram_basics():
 
 
 def test_lof_class_probabilities_sum_near_one():
-    probs = lof_class_probabilities(3, 1.0, max_k=8)
-    total = sum(probs.values())
+    total = sum(p for _, p in lof_class_probabilities(3, 1.0, max_k=8))
     assert 0.999 < total <= 1.0 + 1e-12
 
 
 def test_lof_class_probabilities_match_process_law():
-    probs = lof_class_probabilities(2, 1.5, max_k=3)
-    for cls, p in probs.items():
+    for cls, p in lof_class_probabilities(2, 1.5, max_k=3):
         if cls.matrix.shape[1] == 0:
             continue
         direct = math.exp(ibp.logprob_mask_ibp(cls.matrix, 1.5))
@@ -216,11 +214,15 @@ def _wide_toy_geweke():
     (lambda: oracle.weight_kernel_tv(kept=50, thin=1), 4.0),
     (lambda: oracle.factor_kernel_tv(kept=50, thin=1), 2.5),
     (_wide_toy_geweke, 2.0),
-], ids=["finite_limit", "weight_tv", "factor_tv", "geweke_20k_by_50"])
+    (oracle._check_spike_slab_integrates, 2.0),
+    (lambda: oracle.ibp_sampler_max_z(num_draws=2000, seed=11), 1.0),
+], ids=["finite_limit", "weight_tv", "factor_tv", "geweke_20k_by_50", "spike_slab_grid",
+        "ibp_sampler"])
 def test_oracle_checks_run_in_bounded_memory(fn, limit_mb):
     # numpy reports its buffers to tracemalloc.  Keeping every raw draw,
-    # a million-column mask or a whole (grid, T) temporary would cost
-    # several times these limits.
+    # a million-column mask, a whole (grid, T) temporary, a second
+    # 100,001-point grid or the table of every left-ordered class would
+    # break these limits.
     assert _traced_peak_mb(fn) < limit_mb
 
 
