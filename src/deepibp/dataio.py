@@ -106,8 +106,9 @@ def read_dataset_csv(path) -> np.ndarray:
     if not rows:
         raise DataFormatError(path, 2, "no data rows")
     X = np.array(rows, dtype=float)
-    if not np.isfinite(X).all():
-        raise DataFormatError(path, None, "non-finite values in data")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise DataFormatError(path, int(np.argmin(finite)) + 2, "non-finite value in data")
     return X
 
 

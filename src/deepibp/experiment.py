@@ -234,7 +234,7 @@ def trace_filename(k_true: int, init_index: int, replicate: int) -> str:
 
 
 def emit_report(stats: SummaryStats, results: list[TrialResult], path, *,
-                cfg: ExperimentConfig | None = None, jobs: int | None = None) -> None:
+                cfg: ExperimentConfig, jobs: int) -> None:
     """Write summary.csv, per-trial trace CSVs and a manifest.
 
     The manifest echoes the config, with its layer hyperparameters in a
@@ -243,9 +243,6 @@ def emit_report(stats: SummaryStats, results: list[TrialResult], path, *,
     Timings vary run to run; every CSV body is a pure function of the
     config and seed.
     """
-    # Imported here so that the sampler's commands do not load scipy.
-    import scipy
-
     out = Path(path)
     lines = ["K_true,init,mean,variance"]
     for row in stats.rows:
@@ -260,11 +257,11 @@ def emit_report(stats: SummaryStats, results: list[TrialResult], path, *,
     manifest = {
         "kind": "factor-recovery-experiment",
         "version": 1,
-        "config": None if cfg is None else {
+        "config": {
             f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("inits", "layer_hyper")
         },
-        "hyper": None if cfg is None else asdict(cfg.layer_hyper),
-        "inits": None if cfg is None else [
+        "hyper": asdict(cfg.layer_hyper),
+        "inits": [
             {"index": i, "name": init_name(k),
              **({"kind": "uniform", "lo": k[0], "hi": k[1]} if isinstance(k, tuple)
                 else {"kind": "fixed", "value": k})}
@@ -287,7 +284,6 @@ def emit_report(stats: SummaryStats, results: list[TrialResult], path, *,
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     dataio.write_json(out / "manifest.json", manifest)

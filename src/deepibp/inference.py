@@ -209,11 +209,11 @@ class ChainState:
             self._log_joint_memo = model.log_joint(self)
         return self._log_joint_memo
 
-    def check_consistency(self, atol: float = 1e-8) -> None:
+    def check_consistency(self) -> None:
         """Assert every cache matches a fresh recomputation.
 
         The state is priced afresh, which must give a finite log-joint
-        that matches the memo whenever one is held.
+        that matches the memo, within 1e-8, whenever one is held.
         """
         # Plain numpy comparisons: np.testing would import unittest and
         # more for the life of the process.
@@ -231,7 +231,7 @@ class ChainState:
         if not math.isfinite(fresh):
             raise AssertionError(f"log-joint is {fresh}")
         memo = self._log_joint_memo
-        if memo is not None and abs(fresh - memo) > atol:
+        if memo is not None and abs(fresh - memo) > 1e-8:
             raise AssertionError(f"cached log-joint {memo} != fresh {fresh}")
         self.stats.check()
 

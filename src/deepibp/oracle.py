@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 
+# Trapezoid-rule points of every quadrature below.
+_QUADRATURE_POINTS = 20001
+
+
 def enumerate_masks(N: int, K: int) -> np.ndarray:
     """All 2^(N K) binary masks as an (2^(N K), N, K) int8 array.
 
@@ -53,7 +57,7 @@ def enumerate_masks(N: int, K: int) -> np.ndarray:
     return bits.reshape(-1, N, K).astype(np.int8)
 
 
-def _p_axis_integrals(m_minus: int, N: int, alpha_over_K: float, num_points: int) -> tuple[float, float]:
+def _p_axis_integrals(m_minus: int, N: int, alpha_over_K: float) -> tuple[float, float]:
     """Spike/slab probabilities by integrating the inclusion prior directly.
 
     Integrates Beta(a, 1) against the other rows' Bernoulli factors on
@@ -66,7 +70,7 @@ def _p_axis_integrals(m_minus: int, N: int, alpha_over_K: float, num_points: int
     a = alpha_over_K
     m = m_minus
     r = max(1, math.ceil(3.0 / (a + m)))
-    s = np.linspace(0.0, 1.0, num_points)
+    s = np.linspace(0.0, 1.0, _QUADRATURE_POINTS)
     p = s ** r
     # prior density a p^{a-1} times dp/ds, with p^m folded in: all powers of s.
     base = a * r * s ** (r * a - 1.0 + r * m) * (1.0 - p) ** (N - 1 - m)
@@ -81,8 +85,7 @@ def _p_axis_integrals(m_minus: int, N: int, alpha_over_K: float, num_points: int
 _QUADRATURE_NATS = 30.0
 
 
-def slab_logmarginal_quadrature(sq_sum: float, count: int, ig_shape: float, ig_scale: float,
-                                num_points: int = 20001) -> float:
+def slab_logmarginal_quadrature(sq_sum: float, count: int, ig_shape: float, ig_scale: float) -> float:
     """Quadrature counterpart of the closed-form slab column marginal.
 
     The log of int prod_i N(g_i; 0, s2) InvGamma(s2; shape, scale) d s2,
@@ -100,7 +103,7 @@ def slab_logmarginal_quadrature(sq_sum: float, count: int, ig_shape: float, ig_s
     b_post = ig_scale + 0.5 * sq_sum
     u_peak = math.log(b_post / a_post)
     reach = _QUADRATURE_NATS / a_post
-    u = np.linspace(u_peak - math.log(2.0 + 2.0 * reach), u_peak + 1.0 + reach, num_points)
+    u = np.linspace(u_peak - math.log(2.0 + 2.0 * reach), u_peak + 1.0 + reach, _QUADRATURE_POINTS)
     s2 = np.exp(u)
     log_f = (
         ig_shape * math.log(ig_scale)
@@ -116,15 +119,14 @@ def slab_logmarginal_quadrature(sq_sum: float, count: int, ig_shape: float, ig_s
 
 
 def slab_density_quadrature(w: float, m_minus: int, other_sq_sum: float,
-                            ig_shape: float, ig_scale: float,
-                            num_points: int = 20001) -> float:
+                            ig_shape: float, ig_scale: float) -> float:
     """Predictive density of one slab value given its column's others.
 
     Computed as the ratio of two variance integrals, never via the
     Student-t closed form.
     """
-    log_num = slab_logmarginal_quadrature(other_sq_sum + w * w, m_minus + 1, ig_shape, ig_scale, num_points)
-    log_den = slab_logmarginal_quadrature(other_sq_sum, m_minus, ig_shape, ig_scale, num_points)
+    log_num = slab_logmarginal_quadrature(other_sq_sum + w * w, m_minus + 1, ig_shape, ig_scale)
+    log_den = slab_logmarginal_quadrature(other_sq_sum, m_minus, ig_shape, ig_scale)
     return math.exp(log_num - log_den)
 
 
@@ -136,7 +138,6 @@ def marginal_weight_quadrature(
     ig_shape: float,
     ig_scale: float,
     other_sq_sum: float = 0.0,
-    num_points: int = 20001,
 ) -> float:
     """Prior-predictive of one weight entry by direct numeric integration.
 
@@ -152,10 +153,10 @@ def marginal_weight_quadrature(
         raise ValueError(f"m_minus must be in [0, {N - 1}], got {m_minus}")
     if min(alpha_over_K, ig_shape, ig_scale) <= 0.0:
         raise ValueError("alpha_over_K, ig_shape and ig_scale must be positive")
-    spike, slab = _p_axis_integrals(m_minus, N, alpha_over_K, num_points)
+    spike, slab = _p_axis_integrals(m_minus, N, alpha_over_K)
     if w == 0.0:
         return spike
-    return slab * slab_density_quadrature(w, m_minus, other_sq_sum, ig_shape, ig_scale, num_points)
+    return slab * slab_density_quadrature(w, m_minus, other_sq_sum, ig_shape, ig_scale)
 
 
 def mc_lof_histogram(sampler, N: int, alpha: float, num_draws: int,
@@ -213,10 +214,13 @@ def lof_class_probabilities(N: int, alpha: float, max_k: int) -> Iterator[tuple[
 
 # -- frozen kernel state and total-variation checks -----------------------
 
-# Rows per block wherever a check reduces many rows one at a time: TV
-# reference grid points, and Geweke draws.  Blocks keep the temporaries
-# small; each row reduces on its own, so the floats do not depend on it.
+# Reference-grid points of the TV checks are priced this many at a
+# time.  Blocks keep the temporaries small; each point is priced on its
+# own, so the floats do not depend on the block size.
 _BLOCK = 1024
+# Points of each TV check's reference grid, and equal bins over its span.
+_TV_GRID_POINTS = 40001
+_TV_BINS = 24
 
 
 def _by_blocks(f, rows: np.ndarray) -> np.ndarray:
@@ -227,7 +231,7 @@ def _by_blocks(f, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def frozen_kernel_state(seed: int = 7):
+def frozen_kernel_state():
     """A small fixed chain state for 1-D kernel checks (N=4, K=2, T=10).
 
     The mask/slab are hard-coded so both columns have several active
@@ -235,8 +239,8 @@ def frozen_kernel_state(seed: int = 7):
     to a larger one: its conditional then keeps visible mass on the
     spike, which makes the kernel checks exercise the toggle in both
     directions rather than only the value moves.  The factors and data
-    are drawn once from the given seed.  The state's ``layer_hyper``
-    holds the hyperparameters.
+    are drawn once from seed 7.  The state's ``layer_hyper`` holds the
+    hyperparameters.
     """
     from .inference import ChainState
     from .model import LayerHyper
@@ -244,21 +248,20 @@ def frozen_kernel_state(seed: int = 7):
     hyper = LayerHyper(alpha_ibp=2.0, ig_shape=3.0, ig_scale=2.0, sigma_top=1.0, sigma_floor=1e-6)
     mask = np.array([[1, 1], [1, 1], [0, 1], [1, 1]], dtype=np.int8)
     slab = np.array([[0.4, -0.7], [-1.1, 0.6], [0.0, -0.8], [0.5, 1.2]])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     Y = rng.standard_normal((2, 10))
     sigma = np.maximum(np.abs((mask * slab) @ Y), hyper.sigma_floor)
     X = sigma * rng.standard_normal(sigma.shape)
     return ChainState(X=X, Y=Y, mask=mask, slab=slab, layer_hyper=hyper)
 
 
-def _grid_tv(draws: np.ndarray, grid: np.ndarray, log_d: np.ndarray, log_atom: float,
-             n_bins: int) -> float:
+def _grid_tv(draws: np.ndarray, grid: np.ndarray, log_d: np.ndarray, log_atom: float) -> float:
     """Total variation between kernel draws and a law given on a grid.
 
     The law is an atom at zero with unnormalised log-mass ``log_atom``
     (-inf for none) plus a continuous part with log-density ``log_d`` on
     ``grid``, integrated by the trapezoid rule.  The comparison uses
-    ``n_bins`` equal bins over the grid's span, the atom, and the mass
+    ``_TV_BINS`` equal bins over the grid's span, the atom, and the mass
     outside the span (zero under the law).
     """
     shift = max(float(log_d.max()), log_atom)
@@ -277,7 +280,7 @@ def _grid_tv(draws: np.ndarray, grid: np.ndarray, log_d: np.ndarray, log_atom: f
     np.cumsum(piece, out=cum[1:])
     atom_unnorm = math.exp(log_atom - shift)
     Z = atom_unnorm + cum[-1]
-    edges = np.linspace(grid[0], grid[-1], n_bins + 1)
+    edges = np.linspace(grid[0], grid[-1], _TV_BINS + 1)
     bin_mass = np.diff(np.interp(edges, grid, cum)) / Z
     atom_mass = atom_unnorm / Z
 
@@ -291,8 +294,28 @@ def _grid_tv(draws: np.ndarray, grid: np.ndarray, log_d: np.ndarray, log_atom: f
     return float(tv)
 
 
-def weight_kernel_tv(kept: int = 100_000, thin: int = 5, n_bins: int = 24,
-                     seed: int = 2024) -> float:
+def _kernel_tv(update, value, half_width: float, log_density, log_atom: float,
+               kept: int, thin: int, seed: int) -> float:
+    """Total variation between one kernel's samples and its conditional law.
+
+    The law is priced on a ``_TV_GRID_POINTS`` grid over
+    [-half_width, half_width] (``log_density`` of an array of points,
+    plus the atom ``log_atom`` at zero).  ``update(rng)`` applies the
+    kernel once with everything else held fixed; after every ``thin``
+    calls ``value()`` is kept, ``kept`` times in all.
+    """
+    grid = np.linspace(-half_width, half_width, _TV_GRID_POINTS)
+    log_d = _by_blocks(log_density, grid)
+    rng = np.random.default_rng(seed)
+    draws = np.empty(kept)
+    for j in range(kept):
+        for _ in range(thin):
+            update(rng)
+        draws[j] = value()
+    return _grid_tv(draws, grid, log_d, log_atom)
+
+
+def weight_kernel_tv(kept: int = 100_000, thin: int = 5, seed: int = 2024) -> float:
     """Total variation between the weight kernel's samples and its target.
 
     Repeatedly applies the single-entry kernel to entry (0, 0) of the
@@ -326,22 +349,14 @@ def weight_kernel_tv(kept: int = 100_000, thin: int = 5, n_bins: int = 24,
     def log_density(w):
         return math.log(slab_p) + model.student_t_logpdf(w, df, t_scale) + loglik(w) - lik0
 
-    L = 15.0 * t_scale
-    grid = np.linspace(-L, L, 40001)
-    log_d = _by_blocks(log_density, grid)
-    log_atom = math.log(spike_p)  # lik(0) - lik0 == 0
-
-    rng = np.random.default_rng(seed)
-    draws = np.empty(kept)
-    for j in range(kept):
-        for _ in range(thin):
-            gibbs_update_weight(state, n0, k0, rng)
-        draws[j] = state.mask[n0, k0] * state.slab[n0, k0]
-    return _grid_tv(draws, grid, log_d, log_atom, n_bins)
+    return _kernel_tv(lambda rng: gibbs_update_weight(state, n0, k0, rng),
+                      lambda: state.mask[n0, k0] * state.slab[n0, k0],
+                      15.0 * t_scale, log_density,
+                      math.log(spike_p),  # lik(0) - lik0 == 0
+                      kept, thin, seed)
 
 
-def factor_kernel_tv(kept: int = 100_000, thin: int = 5, n_bins: int = 24,
-                     seed: int = 2025) -> float:
+def factor_kernel_tv(kept: int = 100_000, thin: int = 5, seed: int = 2025) -> float:
     """Total variation between the factor kernel's samples and its target.
 
     Same protocol as the weight check, for factor entry (0, 0), whose
@@ -365,28 +380,22 @@ def factor_kernel_tv(kept: int = 100_000, thin: int = 5, n_bins: int = 24,
         lik = -0.5 * len(rows) * model.LOG_2PI - np.log(s).sum(axis=1) - 0.5 * (z * z).sum(axis=1)
         return lik - 0.5 * (y / sig_prior) ** 2
 
-    L = 12.0 * sig_prior
-    grid = np.linspace(-L, L, 40001)
-
-    rng = np.random.default_rng(seed)
-    draws = np.empty(kept)
-    for j in range(kept):
-        for _ in range(thin):
-            gibbs_update_factor(state, k0, t0, rng)
-        draws[j] = state.Y[k0, t0]
-    return _grid_tv(draws, grid, _by_blocks(logtarget, grid), -math.inf, n_bins)
+    return _kernel_tv(lambda rng: gibbs_update_factor(state, k0, t0, rng),
+                      lambda: state.Y[k0, t0],
+                      12.0 * sig_prior, logtarget, -math.inf, kept, thin, seed)
 
 
-def ibp_sampler_max_z(num_draws: int, seed: int, min_expected: float = 10.0,
-                      max_k: int = 8, N: int = 3, alpha: float = 1.0) -> float:
+def ibp_sampler_max_z(num_draws: int, seed: int) -> float:
     """Worst per-class z-score of the sequential sampler vs the process law.
 
-    Compares empirical class frequencies over ``num_draws`` draws with
-    exp(logprob_mask_ibp).  Classes whose expected count reaches
-    ``min_expected`` are tested individually (the z statistic is only
-    meaningful there); everything rarer is pooled into one tail bucket
-    tested the same way, so the whole law is still covered.
+    Compares empirical class frequencies over ``num_draws`` draws at
+    N=3 and alpha=1 with exp(logprob_mask_ibp), over the classes with
+    K <= 8.  Classes whose expected count reaches 10 are tested
+    individually (the z statistic is only meaningful there); everything
+    rarer is pooled into one tail bucket tested the same way, so the
+    whole law is still covered.
     """
+    N, alpha, max_k, min_expected = 3, 1.0, 8, 10.0
     rng = np.random.default_rng(seed)
     freqs = mc_lof_histogram(ibp.sample_ibp_sequential, N, alpha, num_draws, rng)
     tested = {
@@ -405,8 +414,9 @@ def ibp_sampler_max_z(num_draws: int, seed: int, min_expected: float = 10.0,
     return worst
 
 
-def dish_count_mean_z(num_draws: int, seed: int, N: int = 10, alpha: float = 3.0) -> float:
-    """z-score of the mean sampled dish count against alpha * H_N."""
+def dish_count_mean_z(num_draws: int, seed: int) -> float:
+    """z-score of the mean sampled dish count against alpha * H_N, at N=10 and alpha=3."""
+    N, alpha = 10, 3.0
     rng = np.random.default_rng(seed)
     counts = np.array([
         ibp.sample_ibp_sequential(N, alpha, rng).shape[1] for _ in range(num_draws)
@@ -428,59 +438,38 @@ def dish_count_mean_z(num_draws: int, seed: int, N: int = 10, alpha: float = 3.0
 _GEWEKE_HYPER = dict(alpha_ibp=2.0, ig_shape=4.0, ig_scale=3.0, sigma_top=1.0, sigma_floor=0.3)
 
 
-def _record(draw, stats, n: int, burn_in: int = 0,
-            names: list[str] | None = None) -> tuple[list[str], np.ndarray]:
-    """Call ``draw`` burn_in + n times; keep the per-draw statistics of the last n.
+def _record(draw, label: str, names: list[str], n: int) -> np.ndarray:
+    """Call ``draw`` n times; return its draws as an (n, len(names)) array.
 
-    A snapshot is an array or a tuple of arrays of fixed shapes.  Up to
-    ``_BLOCK`` snapshots are copied into one block buffer per part, and
-    ``stats`` is applied to each full or partial block; only its values
-    are kept, so memory does not grow with n times the snapshot size.
-    Returns the statistic names (``names`` if given, else the order of
-    the first block's dict) and an (n, statistic) array of their values
-    in draw order.
+    Each draw must be one float per name; a draw of any other length
+    raises a ValueError that names it.
     """
-    for _ in range(burn_in):
-        draw()
-    bufs: list[np.ndarray] = []
-    out = None
-    for start in range(0, n, _BLOCK):
-        size = min(_BLOCK, n - start)
-        for i in range(size):
-            snap = draw()
-            parts = snap if isinstance(snap, tuple) else (snap,)
-            if not bufs:
-                bufs = [np.empty((min(n, _BLOCK),) + np.shape(a), dtype=np.result_type(a))
-                        for a in parts]
-            for buf, a in zip(bufs, parts):
-                buf[i] = a
-        block = stats(*(buf[:size] for buf in bufs))
-        if out is None:
-            names = list(block) if names is None else names
-            out = np.empty((n, len(names)), dtype=np.result_type(*(block[k] for k in names)))
-        for j, name in enumerate(names):
-            out[start:start + size, j] = block[name]
-    return names, out
+    out = np.empty((n, len(names)))
+    for i in range(n):
+        row = draw()
+        if len(row) != len(names):
+            raise ValueError(f"{label} draw {i} has {len(row)} statistics, "
+                             f"expected {len(names)} ({', '.join(names)})")
+        out[i] = row
+    return out
 
 
-def geweke(forward, step, stats, n_prior: int, n_sweeps: int, burn_in: int,
+def geweke(forward, step, names: list[str], n_prior: int, n_sweeps: int, burn_in: int,
            batches: int) -> dict[str, float]:
     """Generate-then-sample agreement between two samplers of one law, as z-scores.
 
-    ``forward()`` returns an independent draw from the law and
-    ``step()`` advances a chain that should leave the law invariant and
-    returns its current draw; either draw is an array or a tuple of
-    arrays of fixed shapes.  The harness takes ``n_prior`` forward draws
-    and, after ``burn_in`` unkept steps, ``n_sweeps - burn_in`` chain
-    draws.  ``stats(*parts)`` maps stacked draws, each part with a
-    leading draw axis, to a dict of per-draw statistics; each statistic
-    of a draw must depend on that draw alone, because the harness
-    applies ``stats`` to blocks of at most ``_BLOCK`` draws and keeps
-    only the statistics (``_record``).  Returns |z| per statistic for
-    the difference of the two means; the chain side's standard error
-    uses ``batches`` batch means to absorb autocorrelation (a remainder
-    of kept draws that does not fill a batch counts towards the mean
-    only).  The prior side is drawn first, then the chain side.
+    ``forward()`` returns the statistics of an independent draw from
+    the law and ``step()`` advances a chain that should leave the law
+    invariant and returns the statistics of its current draw: one float
+    per entry of ``names``, in that order.  Only these statistics are
+    kept, so a draw may change dimension from one call to the next.  The
+    harness takes ``n_prior`` forward draws and, after ``burn_in``
+    unkept steps, ``n_sweeps - burn_in`` chain draws.  Returns |z| per
+    statistic for the difference of the two means; the chain side's
+    standard error uses ``batches`` batch means to absorb
+    autocorrelation (a remainder of kept draws that does not fill a
+    batch counts towards the mean only).  The prior side is drawn
+    first, then the chain side.
     """
     if n_prior < 2:
         raise ValueError(f"n_prior must be >= 2, got {n_prior}")
@@ -495,8 +484,10 @@ def geweke(forward, step, stats, n_prior: int, n_sweeps: int, burn_in: int,
         )
     # One (draw, statistic) array per side: the means below then sum in
     # a fixed order, so a pinned z stays the same float.
-    names, prior = _record(forward, stats, n_prior)
-    _, chain = _record(step, stats, kept, burn_in, names)
+    prior = _record(forward, "forward", names, n_prior)
+    for _ in range(burn_in):
+        step()
+    chain = _record(step, "step", names, kept)
     batch_means = chain[: kept // batches * batches].reshape(batches, -1, len(names)).mean(axis=1)
     zs = {}
     for j, name in enumerate(names):
@@ -508,45 +499,29 @@ def geweke(forward, step, stats, n_prior: int, n_sweeps: int, burn_in: int,
     return zs
 
 
-def _moment_stats(w_eff: np.ndarray, Y: np.ndarray) -> dict[str, np.ndarray]:
-    """First and second moments of each draw's effective weights and factors."""
-    w = w_eff.reshape(len(w_eff), -1)
-    y = Y.reshape(len(Y), -1)
-    return {
-        "mean_w": w.mean(axis=1),
-        "mean_w_sq": (w * w).mean(axis=1),
-        "mean_y": y.mean(axis=1),
-        "mean_y_sq": (y * y).mean(axis=1),
-    }
-
-
 def geweke_moment_zs(
     n_prior: int = 200_000,
     n_sweeps: int = 50_000,
     burn_in: int = 2_000,
     batches: int = 50,
-    N: int = 4,
-    K: int = 2,
-    T: int = 10,
     seed: int = 404,
 ) -> dict[str, float]:
     """Generate-then-sample agreement on the fixed-K model, as z-scores.
 
-    Two ways of sampling the joint law of (weights, factors, data) must
-    match: direct prior draws, and a chain that alternates one Gibbs
-    sweep at fixed K with redrawing the data from the likelihood.  Any
-    defect in the kernels' stationary law shows up as a moment
-    discrepancy.  Compares the first and second moments of the
-    effective weights and the factors through ``geweke``.  The chain
-    starts from a prior draw, made after the prior side's; once it has
-    run, its caches must still match a fresh derivation.  Returns |z|
-    per moment.
+    Two ways of sampling the joint law of (weights, factors, data) at
+    N=4, K=2 and T=10 must match: direct prior draws, and a chain that
+    alternates one Gibbs sweep at fixed K with redrawing the data from
+    the likelihood.  Any defect in the kernels' stationary law shows up
+    as a moment discrepancy.  Compares the first and second moments of
+    the effective weights and the factors through ``geweke``.  The
+    chain starts from a prior draw, made after the prior side's; once
+    it has run, its caches must still match a fresh derivation.
+    Returns |z| per moment.
     """
     from .inference import ChainState, gibbs_sweep, resample_data
     from .model import LayerHyper
 
-    if min(N, K, T) < 1:
-        raise ValueError(f"N, K and T must be >= 1, got {N}, {K}, {T}")
+    N, K, T = 4, 2, 10
     hyper = LayerHyper(**_GEWEKE_HYPER)
     rng = np.random.default_rng(seed)
 
@@ -555,9 +530,12 @@ def geweke_moment_zs(
         mask, slab = model._prior_columns(N, K, hyper.alpha_ibp / K, hyper.ig_shape, hyper.ig_scale, rng)
         return mask, slab, hyper.sigma_top * rng.standard_normal((K, T))
 
+    def moments(w, y):
+        return w.sum() / w.size, (w * w).sum() / w.size, y.sum() / y.size, (y * y).sum() / y.size
+
     def draw_prior():
         mask, slab, Y = draw_layer()
-        return mask * slab, Y
+        return moments(mask * slab, Y)
 
     state = None
 
@@ -571,9 +549,10 @@ def geweke_moment_zs(
         gibbs_sweep(state, rng)
         resample_data(state, rng)
         # The slab is zero wherever the mask is, so it is the effective weight.
-        return state.slab, state.Y
+        return moments(state.slab, state.Y)
 
-    zs = geweke(draw_prior, step, _moment_stats, n_prior, n_sweeps, burn_in, batches)
+    zs = geweke(draw_prior, step, ["mean_w", "mean_w_sq", "mean_y", "mean_y_sq"],
+                n_prior, n_sweeps, burn_in, batches)
     state.check_consistency()
     return zs
 

@@ -177,6 +177,9 @@ def test_infer_malformed_csv_exits_2(tmp_path, capsys):
     assert main(["infer", str(bad), "--out", str(tmp_path / "y")]) == 2
     assert "bad.csv:1" in capsys.readouterr().err
     assert not (tmp_path / "y").exists()
+    bad.write_text("t0,t1\n1.0,nan\n")
+    assert main(["infer", str(bad), "--out", str(tmp_path / "z")]) == 2
+    assert "bad.csv:2: non-finite" in capsys.readouterr().err
 
 
 def test_infer_missing_file_exits_2(tmp_path, capsys):
@@ -402,9 +405,9 @@ def test_console_script_smoke():
 
 
 def test_import_loads_no_scipy():
-    # scipy.special costs about 0.3 s of import; only the experiment
-    # manifest loads scipy, on first use, to record its version.  The
-    # quadrature and finite-limit checks of validate load none.
+    # scipy.special costs about 0.3 s of import, and no command needs
+    # scipy.  The quadrature and finite-limit checks of validate load
+    # none.
     code = ("import sys, deepibp, deepibp.cli\n"
             "from deepibp import oracle\n"
             "for check in (oracle._check_spike_mass, oracle._check_slab_density,\n"
@@ -415,6 +418,22 @@ def test_import_loads_no_scipy():
                           timeout=60, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_experiment_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only: a whole study, manifest included,
+    # runs without it.
+    cfg = _write_config(tmp_path, TINY_EXPERIMENT)
+    out = tmp_path / "study"
+    code = ("import sys\n"
+            "from deepibp.cli import main\n"
+            f"assert main(['experiment', '--config', {cfg!r}, '--out', {str(out)!r}]) == 0\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].strip() == ""
+    assert set(dataio.read_json(out / "manifest.json")["versions"]) == {"python", "numpy"}
 
 
 def test_chain_checks_load_no_test_framework():

@@ -72,7 +72,8 @@ def test_read_dataset_error_reporting(tmp_path):
     _expect_error(tmp_path, "t0,t1\n1.0\n", 2, "expected 2 fields, found 1")
     _expect_error(tmp_path, "t0,t1\n1.0,2.0\n3.0,oops\n", 3, "not a number: 'oops'")
     _expect_error(tmp_path, "t0,t1\n", 2, "no data rows")
-    _expect_error(tmp_path, "t0,t1\n1.0,nan\n", None, "non-finite")
+    _expect_error(tmp_path, "t0,t1\n1.0,nan\n", 2, "non-finite")
+    _expect_error(tmp_path, "t0,t1\n1.0,2.0\n3.0,inf\n-inf,4.0\n", 3, "non-finite")
     with pytest.raises(DataFormatError) as err:
         read_dataset_csv(tmp_path / "missing.csv")
     assert "cannot read" in str(err.value)

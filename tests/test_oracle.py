@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from deepibp import ibp, model, oracle
 from deepibp.oracle import (
@@ -107,18 +106,20 @@ def _toy_geweke(scale, seed=0):
     rng = np.random.default_rng(seed)
 
     def forward():
-        return rng.standard_normal(3)
+        x = rng.standard_normal(3)
+        return x.mean(), (x * x).mean()
 
-    def stats(x):
-        return {"mean": x.mean(axis=1), "sq": (x * x).mean(axis=1)}
+    def step():
+        x = scale * rng.standard_normal(3)
+        return x.mean(), (x * x).mean()
 
-    return oracle.geweke(forward, lambda: scale * forward(), stats,
+    return oracle.geweke(forward, step, ["mean", "sq"],
                          n_prior=4000, n_sweeps=4200, burn_in=200, batches=20)
 
 
 def test_geweke_harness_passes_an_exact_step():
     zs = _toy_geweke(1.0)
-    assert set(zs) == {"mean", "sq"}
+    assert list(zs) == ["mean", "sq"]
     assert max(zs.values()) < 4.0
 
 
@@ -126,17 +127,64 @@ def test_geweke_harness_flags_a_wrong_step():
     assert _toy_geweke(1.5)["sq"] > 20.0
 
 
-def _stacked_geweke(forward, step, stats, n_prior, n_sweeps, burn_in, batches):
-    # The one-pass reduction: every draw kept, statistics taken at once.
-    prior = [forward() for _ in range(n_prior)]
+def _birth_death_geweke(birth_bias, seed=0):
+    # K ~ Poisson(3) values, each N(0, 1).  The chain proposes a birth
+    # (a fresh N(0, 1) value) or the death of a uniformly chosen value,
+    # each with probability 1/2; the exact acceptance ratios are
+    # rate / (K + 1) and K / rate.  ``birth_bias`` misprices the births.
+    rate = 3.0
+    rng = np.random.default_rng(seed)
+    values = []
+
+    def stats(v):
+        return len(v), float(np.dot(v, v))
+
+    def forward():
+        return stats(rng.standard_normal(rng.poisson(rate)))
+
+    def step():
+        k = len(values)
+        if rng.random() < 0.5:
+            v = rng.standard_normal()
+            if rng.random() < birth_bias * rate / (k + 1):
+                values.append(v)
+        elif k and rng.random() < k / rate:
+            values.pop(rng.integers(k))
+        return stats(values)
+
+    return oracle.geweke(forward, step, ["K", "sum_sq"], n_prior=4000, n_sweeps=8200,
+                         burn_in=200, batches=20)
+
+
+def test_geweke_harness_takes_draws_that_change_dimension():
+    # Seeds 0-11 gave max |z| <= 2.6 for the exact chain and
+    # |z_K| 5.6-11.1 with births priced 1.5 times too high.
+    assert max(_birth_death_geweke(1.0).values()) < 4.0
+    assert _birth_death_geweke(1.5)["K"] > 5.0
+
+
+@pytest.mark.parametrize("side", ["forward", "step"])
+def test_geweke_rejects_a_draw_of_the_wrong_length(side):
+    calls = []
+
+    def good():
+        return 0.0, 1.0
+
+    def bad():
+        calls.append(None)
+        return (0.0, 1.0, 2.0) if len(calls) == 4 else (0.0, 1.0)
+
+    forward, step = (bad, good) if side == "forward" else (good, bad)
+    with pytest.raises(ValueError, match=f"{side} draw 3 has 3 statistics, expected 2"):
+        oracle.geweke(forward, step, ["a", "b"], n_prior=10, n_sweeps=10, burn_in=0, batches=2)
+
+
+def _direct_geweke(forward, step, names, n_prior, n_sweeps, burn_in, batches):
+    # The z-scores computed from every kept draw at once.
+    prior = np.array([forward() for _ in range(n_prior)])
     for _ in range(burn_in):
         step()
-    chain = [step() for _ in range(n_sweeps - burn_in)]
-    prior_stats = stats(*map(np.stack, zip(*prior)))
-    chain_stats = stats(*map(np.stack, zip(*chain)))
-    names = list(prior_stats)
-    prior = np.column_stack([prior_stats[name] for name in names])
-    chain = np.column_stack([chain_stats[name] for name in names])
+    chain = np.array([step() for _ in range(n_sweeps - burn_in)])
     kept = n_sweeps - burn_in
     batch_means = chain[: kept // batches * batches].reshape(batches, -1, len(names)).mean(axis=1)
     zs = {}
@@ -149,35 +197,29 @@ def _stacked_geweke(forward, step, stats, n_prior, n_sweeps, burn_in, batches):
     return zs
 
 
-@pytest.mark.parametrize("block", [None, 7])
-def test_geweke_blocks_give_the_one_pass_zs(block, monkeypatch):
-    # Neither side's kept draws fill a whole number of blocks.
-    if block is not None:
-        monkeypatch.setattr(oracle, "_BLOCK", block)
-    n_prior, n_sweeps, burn_in = 2 * oracle._BLOCK + 13, oracle._BLOCK + 60, 31
-    assert n_prior % oracle._BLOCK and (n_sweeps - burn_in) % oracle._BLOCK
+def test_geweke_zs_match_a_direct_computation():
+    # The kept chain draws leave a remainder that fills no batch.
+    n_prior, n_sweeps, burn_in, batches = 2061, 1084, 31, 6
+    assert (n_sweeps - burn_in) % batches
 
     def run(harness):
         rng = np.random.default_rng(5)
         state = np.zeros(4)
 
         def forward():
-            return rng.standard_normal((2, 3)), rng.gamma(2.0, size=4)
+            a, b = rng.standard_normal((2, 3)), rng.gamma(2.0, size=4)
+            return (a * a).mean(), np.log(b).sum(), a[0, 0] * b[-1]
 
         def step():
             state[:] = 0.8 * state + 0.6 * rng.standard_normal(4)
-            return np.outer(state[:2], state[1:]), np.exp(state)
+            a, b = np.outer(state[:2], state[1:]), np.exp(state)
+            return (a * a).mean(), np.log(b).sum(), a[0, 0] * b[-1]
 
-        def stats(a, b):
-            flat = a.reshape(len(a), -1)
-            return {"sq": (flat * flat).mean(axis=1), "log_b": np.log(b).sum(axis=1),
-                    "mix": flat[:, 0] * b[:, -1]}
-
-        return harness(forward, step, stats, n_prior=n_prior, n_sweeps=n_sweeps,
-                       burn_in=burn_in, batches=6)
+        return harness(forward, step, ["sq", "log_b", "mix"], n_prior=n_prior,
+                       n_sweeps=n_sweeps, burn_in=burn_in, batches=batches)
 
     got = run(oracle.geweke)
-    expect = run(_stacked_geweke)
+    expect = run(_direct_geweke)
     assert list(got) == list(expect)
     assert [v.hex() for v in got.values()] == [v.hex() for v in expect.values()]
 
@@ -201,12 +243,11 @@ def _wide_toy_geweke():
     rng = np.random.default_rng(1)
 
     def forward():
-        return rng.standard_normal(50)
+        x = rng.standard_normal(50)
+        return x.mean(), (x * x).mean()
 
-    def stats(x):
-        return {"mean": x.mean(axis=1), "sq": (x * x).mean(axis=1)}
-
-    return oracle.geweke(forward, forward, stats, n_prior=20_000, n_sweeps=40, burn_in=0, batches=4)
+    return oracle.geweke(forward, forward, ["mean", "sq"], n_prior=20_000, n_sweeps=40,
+                         burn_in=0, batches=4)
 
 
 @pytest.mark.parametrize("fn, limit_mb", [
@@ -231,7 +272,6 @@ def test_oracle_checks_run_in_bounded_memory(fn, limit_mb):
     (dict(n_prior=50, n_sweeps=10, burn_in=-1, batches=5), "burn_in"),
     (dict(n_prior=50, n_sweeps=10, burn_in=0, batches=1), "batches"),
     (dict(n_prior=50, n_sweeps=10, burn_in=8, batches=5), "n_sweeps"),
-    (dict(n_prior=50, n_sweeps=10, burn_in=0, batches=5, K=0), "K"),
 ])
 def test_geweke_rejects_sizes_that_cannot_give_a_z(sizes, name):
     with pytest.raises(ValueError, match=name):
