@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__, dataio, oracle
 from .experiment import ExperimentConfig, emit_report, run_experiment
 from .inference import ChainTrace, InferenceConfig, run_layerwise
-from .model import GenerativeModel, HyperParams, LayerHyper, as_int, generate_dataset
+from .model import GenerativeModel, HyperParams, LayerHyper, as_int, generate_dataset, log_joint
 
 __all__ = ["ConfigError", "build_parser", "load_config", "main"]
 
@@ -196,7 +196,7 @@ def cmd_infer(args) -> int:
                 "mask_rows": dataio.mask_to_rows(st.mask),
                 "slab": st.slab,
                 "factors": st.Y,
-                "log_joint": st.log_joint_cached,
+                "log_joint": log_joint(st),
             }
             for ell, st in enumerate(states)
         ],

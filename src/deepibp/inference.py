@@ -142,9 +142,8 @@ class ChainState:
     zero, so the effective weight matrix equals ``mask * slab`` equals
     ``slab``.  ``refresh`` is where the caches are derived: ``S`` =
     slab @ Y, ``m`` the per-column link counts and ``sigma_y`` the
-    factor-prior stds.  The log-joint is priced lazily: ``refresh`` and
-    ``resample_data`` clear it, and ``log_joint_cached`` prices the
-    state on its first read after that and keeps the value.  Every
+    factor-prior stds.  Those three are the only caches; no cache holds
+    the log-joint, which ``model.log_joint`` prices on demand.  Every
     kernel reads its hyperparameters from ``layer_hyper``, the same
     values the log-joint is priced with.
     """
@@ -159,8 +158,6 @@ class ChainState:
     m: np.ndarray = field(init=False)
     S: np.ndarray = field(init=False)
     sigma_y: np.ndarray = field(init=False)
-    # One-slot memo of the log-joint; None until first read after a change.
-    _log_joint_memo: float | None = field(default=None, init=False, repr=False, compare=False)
     # One-slot memo of log_ratio_add: (key, ratio), keyed by what it reads.
     _add_ratio_memo: tuple[tuple[bytes, int, float], float] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -196,25 +193,13 @@ class ChainState:
 
     # -- caches --------------------------------------------------------
     def refresh(self) -> None:
-        """Recompute every cache from the primary arrays and clear the log-joint."""
+        """Recompute every cache from the primary arrays; the state is not priced."""
         self.m = self.mask.sum(axis=0, dtype=np.int64)
         self.S = self.slab @ self.Y
         self.sigma_y = model.factor_prior_sigma(self.K, self.T, self.layer_hyper, self.parent_context)
-        self._log_joint_memo = None
-
-    @property
-    def log_joint_cached(self) -> float:
-        """The state's log-joint, priced on the first read after a refresh or a data redraw."""
-        if self._log_joint_memo is None:
-            self._log_joint_memo = model.log_joint(self)
-        return self._log_joint_memo
 
     def check_consistency(self) -> None:
-        """Assert every cache matches a fresh recomputation.
-
-        The state is priced afresh, which must give a finite log-joint
-        that matches the memo, within 1e-8, whenever one is held.
-        """
+        """Assert every cache matches a fresh recomputation and the log-joint is finite."""
         # Plain numpy comparisons: np.testing would import unittest and
         # more for the life of the process.
         if not np.array_equal(self.m, self.mask.sum(axis=0, dtype=np.int64)):
@@ -230,9 +215,6 @@ class ChainState:
         fresh = model.log_joint(self)
         if not math.isfinite(fresh):
             raise AssertionError(f"log-joint is {fresh}")
-        memo = self._log_joint_memo
-        if memo is not None and abs(fresh - memo) > 1e-8:
-            raise AssertionError(f"cached log-joint {memo} != fresh {fresh}")
         self.stats.check()
 
     # -- construction ----------------------------------------------------
@@ -258,7 +240,7 @@ class ChainState:
         layer = model.sample_weight_layer(
             X.shape[0], k0, hyper.alpha_ibp, hyper.ig_shape, hyper.ig_scale, rng
         )
-        mask, slab = layer.mask.copy(), layer.slab.copy()
+        mask, slab = layer.mask, layer.slab
         N = X.shape[0]
         if N > 0 and k0 > 0:
             a = hyper.alpha_ibp / k0
@@ -274,7 +256,7 @@ class ChainState:
             X=X,
             Y=sigma_y * rng.standard_normal((k0, X.shape[1])),
             mask=mask,
-            slab=slab * mask,
+            slab=slab,
             layer_hyper=hyper,
             parent_context=parent_context,
         )
@@ -356,25 +338,30 @@ def log_ratio_delete(state: ChainState, k: int) -> float:
     )
 
 
-def _apply_add(state: ChainState, rng: np.random.Generator) -> None:
-    """Append an empty factor: zero mask/slab column, prior-drawn Y row."""
-    sigma_new = model.factor_prior_sigma(state.K + 1, state.T, state.layer_hyper, state.parent_context)[-1]
-    y_new = sigma_new * rng.standard_normal(state.T)
-    state.mask = np.hstack([state.mask, np.zeros((state.N, 1), dtype=np.int8)])
-    state.slab = np.hstack([state.slab, np.zeros((state.N, 1))])
-    state.Y = np.vstack([state.Y, y_new])
-    state.m = np.append(state.m, 0)
-    state.sigma_y = np.vstack([state.sigma_y, sigma_new])
-    # S unchanged: the new column's effective weights are all zero.
+def _resize(state: ChainState, keep: np.ndarray, n_new: int = 0) -> None:
+    """Keep factor columns ``keep`` in order and append ``n_new`` empty ones.
 
-
-def _apply_delete(state: ChainState, k: int) -> None:
-    """Remove unlinked factor k; the likelihood is untouched exactly."""
-    state.mask = np.delete(state.mask, k, axis=1)
-    state.slab = np.delete(state.slab, k, axis=1)
-    state.Y = np.delete(state.Y, k, axis=0)
-    state.m = np.delete(state.m, k)
-    state.sigma_y = np.delete(state.sigma_y, k, axis=0)
+    New columns have zero mask, slab and Y rows; callers draw their Y
+    rows.  Only unlinked columns may be dropped, so ``S`` is unchanged.
+    New rows take the factor prior's stds at their positions; kept rows
+    keep theirs, even where a parent context prices a moved row by its
+    new position.  Dropping that copy moves depth-2 draws, so it belongs
+    with the fix of that defect.  Arrays are allocated C-ordered, then
+    filled: an F-ordered slab, as ``slab[:, keep]`` gives, makes BLAS
+    round ``slab @ Y`` differently.
+    """
+    n_keep = keep.size
+    K = n_keep + n_new
+    mask = np.zeros((state.N, K), dtype=np.int8)
+    slab = np.zeros((state.N, K))
+    Y = np.zeros((K, state.T))
+    mask[:, :n_keep] = state.mask.take(keep, axis=1)
+    slab[:, :n_keep] = state.slab.take(keep, axis=1)
+    Y[:n_keep] = state.Y.take(keep, axis=0)
+    sigma_y = model.factor_prior_sigma(K, state.T, state.layer_hyper, state.parent_context)
+    sigma_y[:n_keep] = state.sigma_y.take(keep, axis=0)
+    state.mask, state.slab, state.Y, state.sigma_y = mask, slab, Y, sigma_y
+    state.m = np.append(state.m.take(keep), np.zeros(n_new, dtype=np.int64))
 
 
 def _dimension_move(
@@ -405,12 +392,13 @@ def _dimension_move(
     if propose_delete is None:
         state.stats.add_proposed += 1
         if rng.random() < math.exp(min(log_ratio_add(state), 0.0)):
-            _apply_add(state, rng)
+            _resize(state, np.arange(state.K), 1)
+            state.Y[-1] = state.sigma_y[-1] * rng.standard_normal(state.T)
             state.stats.add_accepted += 1
     else:
         state.stats.delete_proposed += 1
         if rng.random() < math.exp(min(log_ratio_delete(state, propose_delete), 0.0)):
-            _apply_delete(state, propose_delete)
+            _resize(state, np.delete(np.arange(state.K), propose_delete))
             state.stats.delete_accepted += 1
     return cursor
 
@@ -788,10 +776,9 @@ def gibbs_sweep(state: ChainState, rng: np.random.Generator) -> None:
 
 
 def resample_data(state: ChainState, rng: np.random.Generator) -> None:
-    """Redraw the data matrix from the current weights and factors; clears the log-joint."""
+    """Redraw the data matrix from the current weights and factors; the state is not priced."""
     sigma = np.maximum(np.abs(state.S), state.layer_hyper.sigma_floor)
     state.X = sigma * rng.standard_normal(state.X.shape)
-    state._log_joint_memo = None
 
 
 def run_mh_layer(
@@ -831,7 +818,7 @@ def run_mh_layer(
             cursor = _dimension_move(state, i, rng, cursor)
         gibbs_sweep(state, rng)
         ks[r] = state.K
-        ljs[r] = state.log_joint_cached
+        ljs[r] = model.log_joint(state)
         adds[r] = state.stats.add_accepted - a0
         dels[r] = state.stats.delete_accepted - d0
     trace = ChainTrace(k=ks, log_joint=ljs, accepted_adds=adds, accepted_deletes=dels)
