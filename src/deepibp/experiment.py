@@ -9,6 +9,7 @@ trials.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
+from .ibp import logprob_mask_marginal_counts
 from .inference import ChainTrace, InferenceConfig, check_init_k, run_mh_layer
 from .model import GenerativeModel, HyperParams, LayerHyper, as_int, generate_dataset
 
@@ -39,6 +41,33 @@ __all__ = [
 # Starting factor counts, as InferenceConfig.init_k takes them: an int
 # is a fixed start, a (lo, hi) pair a uniform draw from lo..hi.
 DEFAULT_INITS: tuple[int | tuple[int, int], ...] = (2, 10, (3, 10))
+
+
+# make_truth redraws the whole truth until every column links two
+# dimensions; a K_true that needs more draws than this on average is
+# refused up front instead of left to spin.
+_MAX_TRUTH_DRAWS = 1e6
+
+
+def _expected_truth_draws(n_dims: int, k_true: int, alpha: float) -> float:
+    """Mean number of prior draws make_truth takes for ``k_true`` columns.
+
+    Columns are independent; one links c of the n_dims dimensions with
+    probability C(n_dims, c) times its mask-marginal term, and a draw is
+    kept when no column links fewer than two.  A one-column mask priced
+    at alpha / k_true gives that term without a k_true-long array.
+    """
+    if k_true == 0:
+        return 1.0
+    p0, p1 = (
+        math.exp(logprob_mask_marginal_counts(np.array([c]), n_dims, alpha / k_true))
+        for c in (0, 1)
+    )
+    p_keep = 1.0 - p0 - n_dims * p1
+    if p_keep <= 0.0:
+        return math.inf
+    log_draws = -k_true * math.log(p_keep)
+    return math.exp(log_draws) if log_draws < 700.0 else math.inf
 
 
 def init_name(init_k: int | tuple[int, int]) -> str:
@@ -86,6 +115,16 @@ class ExperimentConfig:
         object.__setattr__(self, "k_true_values", tuple(as_int(k, "k_true_values") for k in self.k_true_values))
         if min(self.k_true_values) < 0:
             raise ValueError("k_true_values must be >= 0")
+        # Below two dimensions no truth is drawable at all; make_truth says so.
+        if self.n_dims >= 2:
+            for k in self.k_true_values:
+                draws = _expected_truth_draws(self.n_dims, k, self.layer_hyper.alpha_ibp)
+                if draws > _MAX_TRUTH_DRAWS:
+                    raise ValueError(
+                        f"K_true {k} cannot be drawn over n_dims {self.n_dims}: a truth whose every "
+                        f"column links two dimensions takes {draws:.2g} prior draws on average "
+                        f"(limit {_MAX_TRUTH_DRAWS:.0e})"
+                    )
         object.__setattr__(self, "inits", tuple(check_init_k(k, "inits") for k in self.inits))
 
     def hyper(self, k_true: int) -> HyperParams:

@@ -413,11 +413,20 @@ _STEP_SCALE = 0.5
 _CONVERGENCE_TOL = 1.0
 
 
-def _row_loglik(x_row: np.ndarray, s_row: np.ndarray, floor: float) -> float:
-    """Row log-likelihood without its -T/2 log(2 pi) term, which cancels in every ratio."""
-    sigma = np.maximum(np.abs(s_row), floor)
-    z = x_row / sigma
-    return float(-np.log(sigma).sum() - 0.5 * (z @ z))
+def _loglik(x: np.ndarray, s: np.ndarray, floor: float, axis: int = -1):
+    """-sum(log sigma + x^2 / (2 sigma^2)) along ``axis``, with sigma = max(|s|, floor).
+
+    This is the data log-likelihood under routed scales ``s`` without
+    its -log(2 pi)/2 per entry, which cancels in every ratio.  ``x``
+    broadcasts against ``s``, so one data row prices a grid of rows.
+    """
+    sigma = np.abs(s)
+    np.maximum(sigma, floor, out=sigma)
+    terms = x / sigma
+    terms *= terms
+    terms *= 0.5
+    terms += np.log(sigma)
+    return -terms.sum(axis)
 
 
 # Slab-value proposal for the spike<->slab toggle: a mixture of the
@@ -428,13 +437,11 @@ def _row_loglik(x_row: np.ndarray, s_row: np.ndarray, floor: float) -> float:
 _TOGGLE_CELLS = 21
 _TOGGLE_SPAN = 7.0
 _TOGGLE_T_WEIGHT = 0.1
-# Cell centres in cell widths from the grid's left edge, plus a slot that
-# a birth visit sets to w = 0, so that one (22, T) batch prices the grid
-# and the spike end of the toggle.
-_GRID_OFFSETS = np.append(np.arange(_TOGGLE_CELLS) + 0.5, 0.0)
+# Cell centres in cell widths from the grid's left edge.
+_GRID_OFFSETS = np.arange(_TOGGLE_CELLS) + 0.5
 # Squared cell centres in predictive-scale units; the grid spans the
 # same [-span, span] in those units whatever the scale.
-_GRID_Z2 = ((_GRID_OFFSETS[:_TOGGLE_CELLS] * (2.0 / _TOGGLE_CELLS) - 1.0) * _TOGGLE_SPAN) ** 2
+_GRID_Z2 = ((_GRID_OFFSETS * (2.0 / _TOGGLE_CELLS) - 1.0) * _TOGGLE_SPAN) ** 2
 
 
 @functools.lru_cache(maxsize=64)
@@ -450,23 +457,6 @@ def _t_grid_terms(df: float) -> tuple[float, float, np.ndarray]:
     grid_kernel = t_power * np.log1p(_GRID_Z2 / df)
     grid_kernel.flags.writeable = False
     return norm, t_power, grid_kernel
-
-
-def _loglik_rows(
-    ws: np.ndarray, x_row: np.ndarray, base_row: np.ndarray, y_row: np.ndarray, floor: float
-) -> np.ndarray:
-    """Row log-likelihood (as _row_loglik) at each weight value in ``ws``.
-
-    Each value's row is reduced on its own, so a value's log-likelihood is
-    the same float whichever batch it is priced in.
-    """
-    sigma = np.multiply.outer(ws, y_row)
-    sigma += base_row
-    np.abs(sigma, out=sigma)
-    np.maximum(sigma, floor, out=sigma)
-    z2 = x_row / sigma
-    z2 *= z2
-    return -np.log(sigma).sum(axis=1) - 0.5 * z2.sum(axis=1)
 
 
 def gibbs_update_weight(state: ChainState, n: int, k: int, rng: np.random.Generator) -> float:
@@ -516,10 +506,14 @@ def gibbs_update_weight(state: ChainState, n: int, k: int, rng: np.random.Genera
     floor = lh.sigma_floor
     half = _TOGGLE_SPAN * t_scale
     h = 2.0 * half / _TOGGLE_CELLS
+    # The row without entry k is the row at w = 0; on a birth it is S[n].
+    ll_zero = float(_loglik(x_row, base_row, floor))
 
-    def cell_log_mass(ll_cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    def cell_log_mass(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         # Conditional at each cell centre, scaled so its largest cell is 1.
-        log_mass = ll_cells - grid_kernel
+        rows = np.multiply.outer(ws, y_row)
+        rows += base_row
+        log_mass = _loglik(x_row, rows, floor) - grid_kernel
         log_mass -= log_mass.max()
         mass = np.exp(log_mass)
         return log_mass, mass, math.log(float(mass.sum()))
@@ -539,12 +533,8 @@ def gibbs_update_weight(state: ChainState, n: int, k: int, rng: np.random.Genera
     stats = state.stats
     stats.weight_proposed += 1
     if not active:
-        # Row log-likelihood at every cell centre and at w = 0.
         ws = _GRID_OFFSETS * h - half
-        ws[-1] = 0.0
-        ll = _loglik_rows(ws, x_row, base_row, y_row, floor)
-        ll_zero = float(ll[-1])
-        log_mass, mass, log_total = cell_log_mass(ll[:-1])
+        log_mass, mass, log_total = cell_log_mass(ws)
         if rng.random() < _TOGGLE_T_WEIGHT:
             w_star = float(model.sample_student_t(df, t_scale, rng))
         else:
@@ -553,7 +543,7 @@ def gibbs_update_weight(state: ChainState, n: int, k: int, rng: np.random.Genera
             g = int(cdf.searchsorted(rng.random(), side="right"))
             w_star = float(ws[g] + (rng.random() - 0.5) * h)
         s_star = base_row + w_star * y_row
-        ll_star = _row_loglik(x_row, s_star, floor)
+        ll_star = float(_loglik(x_row, s_star, floor))
         log_r = (
             math.log(slab_p)
             - math.log(spike_p)
@@ -570,7 +560,7 @@ def gibbs_update_weight(state: ChainState, n: int, k: int, rng: np.random.Genera
             stats.weight_accepted += 1
             active, w_cur, ll_cur = True, w_star, ll_star
     else:
-        ll_zero, ll_cur = _loglik_rows(np.array((0.0, w_cur)), x_row, base_row, y_row, floor).tolist()
+        ll_cur = float(_loglik(x_row, state.S[n], floor))
         log_u = math.log(rng.random())
 
         def death_log_r(logq: float) -> float:
@@ -579,8 +569,7 @@ def gibbs_update_weight(state: ChainState, n: int, k: int, rng: np.random.Genera
         # Every step from q to log_r is monotone, so the ceiling bounds
         # the exact ratio: a toggle rejected here is rejected by it too.
         if log_u < death_log_r(toggle_logq(w_cur)):
-            ws = _GRID_OFFSETS[:_TOGGLE_CELLS] * h - half
-            log_mass, _, log_total = cell_log_mass(_loglik_rows(ws, x_row, base_row, y_row, floor))
+            log_mass, _, log_total = cell_log_mass(_GRID_OFFSETS * h - half)
             if log_u < death_log_r(toggle_logq(w_cur, log_mass, log_total)):
                 state.mask[n, k] = 0
                 state.slab[n, k] = 0.0
@@ -596,7 +585,7 @@ def gibbs_update_weight(state: ChainState, n: int, k: int, rng: np.random.Genera
     w_star = w_cur + _STEP_SCALE * t_scale * rng.standard_normal()
     if w_star != 0.0:
         s_star = base_row + w_star * y_row
-        ll_star = _row_loglik(x_row, s_star, floor)
+        ll_star = float(_loglik(x_row, s_star, floor))
         log_r = t_logpdf(w_star) - t_logpdf(w_cur) + ll_star - ll_cur
         if math.log(rng.random()) < log_r:
             state.slab[n, k] = w_star
@@ -649,22 +638,14 @@ def _factor_row_update(state: ChainState, k: int, ts: np.ndarray, rng: np.random
     x_sub = state.X[cells]
     base = state.S[cells] - w_col * y_cur
 
-    # Column log-likelihood per instance, without the constant term.
-    def col_loglik(y_vals: np.ndarray) -> np.ndarray:
-        sigma = base + w_col * y_vals
-        np.abs(sigma, out=sigma)
-        np.maximum(sigma, floor, out=sigma)
-        z2 = x_sub / sigma
-        z2 *= z2
-        return -np.log(sigma).sum(axis=0) - 0.5 * z2.sum(axis=0)
-
-    cur_ll = col_loglik(y_cur)
+    # Column log-likelihood per instance.
+    cur_ll = _loglik(x_sub, base + w_col * y_cur, floor, axis=0)
     stats.factor_proposed += (1 + _FACTOR_SUBSTEPS) * n_ts
 
     # Independence sub-step from the prior: the prior density cancels
     # against the proposal, leaving the likelihood ratio.
     y_star = sig_prior * rng.standard_normal(n_ts)
-    star_ll = col_loglik(y_star)
+    star_ll = _loglik(x_sub, base + w_col * y_star, floor, axis=0)
     accept = np.log(rng.random(n_ts)) < star_ll - cur_ll
     y_cur = np.where(accept, y_star, y_cur)
     cur_ll = np.where(accept, star_ll, cur_ll)
@@ -674,7 +655,7 @@ def _factor_row_update(state: ChainState, k: int, ts: np.ndarray, rng: np.random
     cur_prior = 0.5 * (y_cur / sig_prior) ** 2
     for _ in range(_FACTOR_SUBSTEPS):
         y_star = y_cur + step * rng.standard_normal(n_ts)
-        star_ll = col_loglik(y_star)
+        star_ll = _loglik(x_sub, base + w_col * y_star, floor, axis=0)
         star_prior = 0.5 * (y_star / sig_prior) ** 2
         accept = np.log(rng.random(n_ts)) < star_ll - cur_ll - star_prior + cur_prior
         y_cur = np.where(accept, y_star, y_cur)

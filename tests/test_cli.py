@@ -3,8 +3,10 @@
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,10 @@ TINY_GENERATE = {
     "experiment": {"n_dims": 6, "n_instances": 15},
 }
 TINY_INFER = {"inference": {"iterations": 4}}
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("did not return within the alarm")
 
 
 # -- parser and config loading ------------------------------------------------
@@ -344,6 +350,25 @@ def test_experiment_dimensions_checked(tmp_path, command, experiment, rc, messag
         assert not (tmp_path / "x").exists()
     else:
         assert dataio.read_dataset_csv(tmp_path / "x" / "data.csv").shape == (1, 5)
+
+
+def test_experiment_refuses_an_undrawable_truth_at_once(tmp_path, capsys):
+    # K_true 20 over 16 dimensions takes about 3.8e10 truth draws on
+    # average; the study must say so instead of redrawing without a word.
+    cfg = _write_config(tmp_path, {"experiment": {"k_true_values": [20]}})
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(30)
+    try:
+        started = time.perf_counter()
+        rc = main(["experiment", "--config", cfg, "--out", str(tmp_path / "x"), "--seed", "3"])
+        elapsed = time.perf_counter() - started
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 2 and elapsed < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "K_true 20" in err and "n_dims 16" in err
+    assert not (tmp_path / "x").exists()
 
 
 # -- validate --------------------------------------------------------------------

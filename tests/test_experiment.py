@@ -1,5 +1,6 @@
 """Tests for the factor-count recovery study driver."""
 
+import math
 import signal
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from deepibp import dataio
 from deepibp.experiment import (
+    _expected_truth_draws,
     DEFAULT_INITS,
     ExperimentConfig,
     TrialResult,
@@ -21,7 +23,7 @@ from deepibp.experiment import (
     trace_filename,
 )
 from deepibp.inference import ChainTrace
-from deepibp.model import HyperParams, LayerHyper
+from deepibp.model import HyperParams, LayerHyper, _prior_columns
 
 
 def _tiny_cfg(**overrides):
@@ -98,6 +100,29 @@ def test_experiment_config_validation():
                      ("n_instances", "12"), ("k_true_values", (2.7,))):
         with pytest.raises(ValueError, match=key):
             _tiny_cfg(**{key: bad})
+
+
+def test_experiment_config_refuses_a_truth_it_cannot_draw():
+    # At n_dims 16 and alpha 3, K_true 10 takes about 1.1e3 truth draws on
+    # average and K_true 20 about 3.8e10, past the limit of 1e6.
+    assert ExperimentConfig(k_true_values=(10,)).k_true_values == (10,)
+    with pytest.raises(ValueError, match=r"K_true 20 cannot be drawn over n_dims 16: .* 3\.8e\+10 prior draws"):
+        ExperimentConfig(k_true_values=(3, 20))
+    # Below two dimensions make_truth and the CLI refuse a truth themselves.
+    assert _tiny_cfg(n_dims=1).n_dims == 1
+
+
+def test_expected_truth_draws_matches_the_prior():
+    # A draw is kept when each of its K columns links two dimensions, so
+    # the expected draw count is the per-column keep rate to the -K.
+    n_dims, k, alpha = 6, 4, 3.0
+    mask, _ = _prior_columns(n_dims, 40_000, alpha / k, 2.0, 1.0, np.random.default_rng(3))
+    keep = float(np.mean(mask.sum(axis=0) >= 2))
+    se = math.sqrt(keep * (1.0 - keep) / mask.shape[1])
+    draws = _expected_truth_draws(n_dims, k, alpha)
+    assert (keep + 4 * se) ** -k < draws < (keep - 4 * se) ** -k
+    assert _expected_truth_draws(n_dims, 0, alpha) == 1.0
+    assert _expected_truth_draws(1, 2, alpha) == math.inf
 
 
 def test_experiment_config_hyper():

@@ -22,7 +22,7 @@ from deepibp.inference import (
     run_layerwise,
     run_mh_layer,
 )
-from deepibp.inference import _log_ratio_from_small, _resize, _same_shape_close
+from deepibp.inference import _log_ratio_from_small, _loglik, _resize, _same_shape_close
 from deepibp.model import HyperParams, LayerHyper, ParentContext
 
 
@@ -332,6 +332,41 @@ def test_resize_keeps_every_cache_consistent(N, K, T, width, steps, seed):
             _check_resized(state)
 
 
+def test_delete_anywhere_without_context_matches_the_log_joint():
+    # Criterion 8 deletes only the last column.  Without a parent context
+    # every Y row has the same prior, so deleting any unlinked column must
+    # move the log-joint by exactly the ratio's target part: the delete
+    # ratio plus the structure term, less the deleted row's prior term.
+    rng = np.random.default_rng(808)
+    checked = 0
+    for _ in range(200):
+        N, T, K = int(rng.integers(2, 9)), int(rng.integers(3, 13)), int(rng.integers(2, 7))
+        hyper = LayerHyper(
+            alpha_ibp=float(rng.choice([0.5, 1.0, 3.0])), ig_shape=2.0, ig_scale=1.0,
+            sigma_top=1.0, sigma_floor=1e-6,
+        )
+        mask = (rng.random((N, K)) < rng.choice([0.35, 0.6, 0.9])).astype(np.int8)
+        mask[:, rng.random(K) < 0.4] = 0
+        slab = rng.standard_normal((N, K)) * mask
+        Y = rng.standard_normal((K, T))
+        # Data at the state's own emission scale, as in criterion 8.
+        X = model.propagate_sigma_matrix(slab, Y, hyper.sigma_floor) * rng.standard_normal((N, T))
+        large = ChainState(X=X, Y=Y, mask=mask, slab=slab, layer_hyper=hyper)
+        for k in np.flatnonzero(large.m == 0).tolist():
+            small = ChainState(
+                X=X, Y=np.delete(Y, k, axis=0), mask=np.delete(mask, k, axis=1),
+                slab=np.delete(slab, k, axis=1), layer_hyper=hyper,
+            )
+            structure = -math.log(small.K + 1.0)
+            if small.K_plus:
+                structure -= math.log(small.K_plus / small.K)
+            row_prior = model.gaussian_loglik(large.Y[k:k + 1], large.sigma_y[k:k + 1])
+            direct = model.log_joint(small) - model.log_joint(large)
+            assert log_ratio_delete(large, k) + structure == pytest.approx(direct + row_prior, abs=1e-8)
+            checked += 1
+    assert checked >= 300
+
+
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="ROADMAP item 1: under a parent context a delete keeps the moved rows' "
@@ -393,6 +428,53 @@ def test_add_ratio_memo_follows_link_counts():
     check()
     _delete_column(state, state.K - 1)
     check()
+
+
+# -- likelihood helper -------------------------------------------------------
+
+def _routed_scales(rng, shape, floor):
+    """Scales above, at and below the floor, zeros and negatives among O(1) values."""
+    s = rng.standard_normal(shape)
+    special = np.array([floor, -floor, 0.5 * floor, 0.0, -0.0, 2.0 * floor, 1e-3 * floor])
+    flat = s.reshape(-1)
+    picks = rng.random(flat.size) < 0.3
+    flat[picks] = rng.choice(special, size=int(picks.sum()))
+    return s
+
+
+@pytest.mark.parametrize("floor", [1e-6, 0.3, 1e-200])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_loglik_matches_gaussian_loglik(floor):
+    # The helper drops the -log(2 pi)/2 per entry that gaussian_loglik keeps.
+    rng = np.random.default_rng(17)
+    T, R = 12, 5
+
+    def reference(x, s):
+        x, s = np.atleast_2d(x), np.atleast_2d(s)
+        return model.gaussian_loglik(x, np.maximum(np.abs(s), floor)) + 0.5 * x.size * model.LOG_2PI
+
+    x_row = rng.standard_normal(T)
+    x_row[::4] = 0.0
+    row = _routed_scales(rng, T, floor)
+    grid = _routed_scales(rng, (21, T), floor)
+    x_col = rng.standard_normal((R, T))
+    x_col[0, ::3] = 0.0
+    col = _routed_scales(rng, (R, T), floor)
+
+    cases = [
+        (_loglik(x_row, row, floor), reference(x_row, row)),
+        (_loglik(x_row, grid, floor), [reference(x_row, g) for g in grid]),
+        (_loglik(x_col, col, floor, axis=0), [reference(x_col[:, t], col[:, t]) for t in range(T)]),
+    ]
+    for got, want in cases:
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    if floor == 1e-200:
+        # A zero scale under the tiniest floor: a nonzero datum is
+        # impossible (-inf), a zero one is finite.
+        assert _loglik(np.array([1.0, 0.0]), np.zeros(2), floor) == -math.inf
+        assert math.isfinite(_loglik(np.zeros(2), np.zeros(2), floor))
 
 
 # -- weight kernel -----------------------------------------------------------

@@ -252,18 +252,26 @@ def test_single_entry_factor_updates_follow_reference():
 
 
 def _count_grid_builds(monkeypatch):
-    """Wrap the kernel's batch pricer; count active visits and grid builds."""
+    """Wrap the weight kernel and its likelihood helper; count active visits and their grid builds."""
     calls = {"active": 0, "grid": 0}
-    price = inference._loglik_rows
+    in_active_visit = [False]
+    update, price = inference.gibbs_update_weight, inference._loglik
 
-    def counting(ws, *args):
-        if len(ws) == 2:  # the (w = 0, w_cur) batch opens every active visit
-            calls["active"] += 1
-        elif len(ws) == _TOGGLE_CELLS:  # the cells alone: an active visit's grid
+    def counting_update(state, n, k, rng):
+        in_active_visit[0] = bool(state.mask[n, k])
+        calls["active"] += in_active_visit[0]
+        try:
+            return update(state, n, k, rng)
+        finally:
+            in_active_visit[0] = False
+
+    def counting_price(x, s, *args, **kwargs):
+        if in_active_visit[0] and s.shape == (_TOGGLE_CELLS, x.shape[-1]):  # the toggle grid
             calls["grid"] += 1
-        return price(ws, *args)
+        return price(x, s, *args, **kwargs)
 
-    monkeypatch.setattr(inference, "_loglik_rows", counting)
+    monkeypatch.setattr(inference, "gibbs_update_weight", counting_update)
+    monkeypatch.setattr(inference, "_loglik", counting_price)
     return calls
 
 
