@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio, oracle
-from .experiment import ExperimentConfig, emit_report, run_experiment
+from .experiment import _MAX_TRUTH_DRAWS, ExperimentConfig, _expected_truth_draws, emit_report, run_experiment
 from .inference import ChainTrace, InferenceConfig, run_layerwise
 from .model import GenerativeModel, HyperParams, LayerHyper, as_int, generate_dataset, log_joint
 
@@ -221,6 +221,13 @@ def cmd_experiment(args) -> int:
         raise ConfigError(
             f"experiment needs n_dims >= 2, so that every true factor links two dimensions; got {cfg.n_dims}"
         )
+    for k in cfg.k_true_values:
+        draws = _expected_truth_draws(cfg.n_dims, k, cfg.layer_hyper.alpha_ibp)
+        if draws > _MAX_TRUTH_DRAWS:
+            raise ConfigError(
+                f"K_true {k} cannot be drawn over n_dims {cfg.n_dims}: a truth whose every column links "
+                f"two dimensions takes {draws:.2g} prior draws on average (limit {_MAX_TRUTH_DRAWS:.0e})"
+            )
     results, stats = run_experiment(cfg, jobs=args.jobs)
     emit_report(stats, results, args.out, cfg=cfg, jobs=args.jobs)
     print(f"{len(results)} trials summarized in {Path(args.out) / 'summary.csv'}")

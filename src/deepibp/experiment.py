@@ -44,8 +44,8 @@ DEFAULT_INITS: tuple[int | tuple[int, int], ...] = (2, 10, (3, 10))
 
 
 # make_truth redraws the whole truth until every column links two
-# dimensions; a K_true that needs more draws than this on average is
-# refused up front instead of left to spin.
+# dimensions; `deepibp experiment` refuses a K_true that needs more draws
+# than this on average instead of leaving it to spin.
 _MAX_TRUTH_DRAWS = 1e6
 
 
@@ -115,16 +115,6 @@ class ExperimentConfig:
         object.__setattr__(self, "k_true_values", tuple(as_int(k, "k_true_values") for k in self.k_true_values))
         if min(self.k_true_values) < 0:
             raise ValueError("k_true_values must be >= 0")
-        # Below two dimensions no truth is drawable at all; make_truth says so.
-        if self.n_dims >= 2:
-            for k in self.k_true_values:
-                draws = _expected_truth_draws(self.n_dims, k, self.layer_hyper.alpha_ibp)
-                if draws > _MAX_TRUTH_DRAWS:
-                    raise ValueError(
-                        f"K_true {k} cannot be drawn over n_dims {self.n_dims}: a truth whose every "
-                        f"column links two dimensions takes {draws:.2g} prior draws on average "
-                        f"(limit {_MAX_TRUTH_DRAWS:.0e})"
-                    )
         object.__setattr__(self, "inits", tuple(check_init_k(k, "inits") for k in self.inits))
 
     def hyper(self, k_true: int) -> HyperParams:
