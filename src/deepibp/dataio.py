@@ -65,11 +65,14 @@ def atomic_write_text(path, text: str) -> None:
 def write_dataset_csv(path, X: np.ndarray) -> None:
     """Write a data matrix: rows are dimensions, columns are instances.
 
-    The header names the instance columns t0..t{T-1}.
+    The header names the instance columns t0..t{T-1}.  Like the
+    reader, it refuses NaN and Inf.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] == 0:
         raise ValueError(f"need a 2-D matrix with at least one instance, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("data matrix contains NaN or Inf")
     lines = [",".join(f"t{t}" for t in range(X.shape[1]))]
     for row in X:
         lines.append(",".join(format_float(v) for v in row))

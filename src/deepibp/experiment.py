@@ -9,7 +9,6 @@ trials.
 
 from __future__ import annotations
 
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -18,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .ibp import logprob_mask_marginal_counts
 from .inference import ChainTrace, InferenceConfig, check_init_k, run_mh_layer
-from .model import GenerativeModel, HyperParams, LayerHyper, as_int, generate_dataset
+from .model import GenerativeModel, HyperParams, LayerHyper, as_int, generate_dataset, sample_weight_layer
 
 __all__ = [
     "DEFAULT_INITS",
@@ -41,33 +39,6 @@ __all__ = [
 # Starting factor counts, as InferenceConfig.init_k takes them: an int
 # is a fixed start, a (lo, hi) pair a uniform draw from lo..hi.
 DEFAULT_INITS: tuple[int | tuple[int, int], ...] = (2, 10, (3, 10))
-
-
-# make_truth redraws the whole truth until every column links two
-# dimensions; `deepibp experiment` refuses a K_true that needs more draws
-# than this on average instead of leaving it to spin.
-_MAX_TRUTH_DRAWS = 1e6
-
-
-def _expected_truth_draws(n_dims: int, k_true: int, alpha: float) -> float:
-    """Mean number of prior draws make_truth takes for ``k_true`` columns.
-
-    Columns are independent; one links c of the n_dims dimensions with
-    probability C(n_dims, c) times its mask-marginal term, and a draw is
-    kept when no column links fewer than two.  A one-column mask priced
-    at alpha / k_true gives that term without a k_true-long array.
-    """
-    if k_true == 0:
-        return 1.0
-    p0, p1 = (
-        math.exp(logprob_mask_marginal_counts(np.array([c]), n_dims, alpha / k_true))
-        for c in (0, 1)
-    )
-    p_keep = 1.0 - p0 - n_dims * p1
-    if p_keep <= 0.0:
-        return math.inf
-    log_draws = -k_true * math.log(p_keep)
-    return math.exp(log_draws) if log_draws < 700.0 else math.inf
 
 
 def init_name(init_k: int | tuple[int, int]) -> str:
@@ -169,16 +140,13 @@ def make_truth(cfg: ExperimentConfig, k_true: int, rng: np.random.Generator) -> 
 
     A raw finite-prior draw often leaves mask columns empty or linked
     to a single dimension, in which case the dataset would not actually
-    carry k_true recoverable factors; the draw is rejected until every
-    column drives at least two observed dimensions, which needs
+    carry k_true recoverable factors; each column is redrawn until it
+    drives at least two observed dimensions, which needs
     ``cfg.n_dims >= 2`` whenever ``k_true > 0``.
     """
-    if k_true > 0 and cfg.n_dims < 2:
-        raise ValueError(f"{k_true} factors cannot each link two of {cfg.n_dims} dimensions")
-    while True:
-        truth = GenerativeModel.from_prior(cfg.hyper(k_true), cfg.n_dims, rng)
-        if (truth.layers[-1].column_counts >= 2).all():
-            return truth
+    lh = cfg.layer_hyper
+    layer = sample_weight_layer(cfg.n_dims, k_true, lh.alpha_ibp, lh.ig_shape, lh.ig_scale, rng, min_links=2)
+    return GenerativeModel(hyper=cfg.hyper(k_true), layers=[layer])
 
 
 def make_dataset(cfg: ExperimentConfig, k_true: int) -> np.ndarray:
@@ -194,9 +162,11 @@ def point_estimate(k_trace: np.ndarray, burn_in: float) -> float:
     return float(np.mean(k_trace[start:]))
 
 
-def run_trial(cfg: ExperimentConfig, k_true: int, init_index: int, replicate: int) -> TrialResult:
-    """Run one chain; fully determined by (base_seed, K_true, init, replicate)."""
-    X = make_dataset(cfg, k_true)
+def run_trial(cfg: ExperimentConfig, X: np.ndarray, k_true: int, init_index: int, replicate: int) -> TrialResult:
+    """Run one chain on ``make_dataset(cfg, k_true)``, passed in as ``X``.
+
+    The chain is fully determined by (base_seed, K_true, init, replicate).
+    """
     init = cfg.inits[init_index]
     seed_key = (cfg.base_seed, int(k_true), int(init_index), int(replicate))
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_key)))
@@ -226,8 +196,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[TrialResu
     The result list is ordered by (K_true, init, replicate) regardless
     of scheduling.
     """
+    datasets = {k_true: make_dataset(cfg, k_true) for k_true in cfg.k_true_values}
     specs = [
-        (cfg, k_true, init_index, replicate)
+        (cfg, datasets[k_true], k_true, init_index, replicate)
         for k_true in cfg.k_true_values
         for init_index in range(len(cfg.inits))
         for replicate in range(cfg.replicates)

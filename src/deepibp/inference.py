@@ -229,34 +229,22 @@ class ChainState:
     ) -> "ChainState":
         """Initialise mask/slab from the finite prior and factors from theirs.
 
-        Each initial column is conditioned on having at least one link
-        (empty columns are redrawn), so a chain initialised at K really
-        starts with K active factors; columns are independent under the
-        finite prior, so this is the conditioned prior law.  Data with
-        no rows start at K = 0, the only factor count their prior allows.
+        Each initial column is conditioned on having at least one link,
+        so a chain initialised at K really starts with K active factors.
+        Data with no rows start at K = 0, the only factor count their
+        prior allows.
         """
         X = model.as_factor_matrix(X)
         k0 = cfg.draw_init_k(rng) if X.shape[0] else 0
         layer = model.sample_weight_layer(
-            X.shape[0], k0, hyper.alpha_ibp, hyper.ig_shape, hyper.ig_scale, rng
+            X.shape[0], k0, hyper.alpha_ibp, hyper.ig_shape, hyper.ig_scale, rng, min_links=1
         )
-        mask, slab = layer.mask, layer.slab
-        N = X.shape[0]
-        if N > 0 and k0 > 0:
-            a = hyper.alpha_ibp / k0
-            while True:
-                empty = np.flatnonzero(mask.sum(axis=0) == 0)
-                if empty.size == 0:
-                    break
-                mask[:, empty], slab[:, empty] = model._prior_columns(
-                    N, empty.size, a, hyper.ig_shape, hyper.ig_scale, rng
-                )
         sigma_y = model.factor_prior_sigma(k0, X.shape[1], hyper, parent_context)
         return cls(
             X=X,
             Y=sigma_y * rng.standard_normal((k0, X.shape[1])),
-            mask=mask,
-            slab=slab,
+            mask=layer.mask,
+            slab=layer.slab,
             layer_hyper=hyper,
             parent_context=parent_context,
         )

@@ -75,8 +75,8 @@ def _as_layer_tuple(value, num_layers: int, name: str) -> tuple[float, ...]:
         out = tuple(float(v) for v in value)
     if len(out) != num_layers:
         raise ValueError(f"{name} must have one entry per layer ({num_layers}), got {len(out)}")
-    if any(v <= 0.0 for v in out):
-        raise ValueError(f"{name} entries must be strictly positive")
+    if not all(0.0 < v < math.inf for v in out):
+        raise ValueError(f"{name} entries must be finite and strictly positive")
     return out
 
 
@@ -132,8 +132,9 @@ class HyperParams:
         L = len(widths)
         for name in ("alpha_ibp_per_layer", "ig_shape_per_layer", "ig_scale_per_layer"):
             object.__setattr__(self, name, _as_layer_tuple(getattr(self, name), L, name))
-        if not (self.sigma_top > 0.0 and self.sigma_floor > 0.0):
-            raise ValueError("sigma_top and sigma_floor must be strictly positive")
+        for name in ("sigma_top", "sigma_floor"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
         if self.sigma_floor > self.sigma_top:
             raise ValueError("sigma_floor must not exceed sigma_top")
 
@@ -262,22 +263,32 @@ def sample_weight_layer(
     ig_shape: float,
     ig_scale: float,
     rng: np.random.Generator,
+    min_links: int = 0,
 ) -> WeightLayer:
-    """Draw a weight layer from the finite prior.
+    """Draw a weight layer from the finite prior, each column conditioned
+    on linking at least ``min_links`` rows.
 
     Per column: p ~ Beta(alpha_ibp / n_cols, 1) via inverse CDF,
     sigma^2 ~ InverseGamma(ig_shape, ig_scale), mask entries
     Bernoulli(p), slab entries N(0, sigma^2).  The slab is drawn for
     every entry, masked or not; the effective weight is mask * slab.
+    Columns are independent under the finite prior, so redrawing only
+    the columns with fewer than ``min_links`` links, until none is
+    left, draws from the conditioned prior law.
     """
-    if min(alpha_ibp, ig_shape, ig_scale) <= 0.0:
-        raise ValueError("alpha_ibp, ig_shape and ig_scale must be strictly positive")
+    if not all(0.0 < v < math.inf for v in (alpha_ibp, ig_shape, ig_scale)):
+        raise ValueError("alpha_ibp, ig_shape and ig_scale must be finite and strictly positive")
     if n_rows < 0 or n_cols < 0:
         raise ValueError("matrix dimensions must be >= 0")
+    if n_cols > 0 and min_links > n_rows:
+        raise ValueError(f"{n_cols} columns cannot each link {min_links} of {n_rows} rows")
     if n_cols == 0:
         empty = np.zeros((n_rows, 0))
         return WeightLayer(mask=empty.astype(np.int8), slab=empty)
-    mask, slab = _prior_columns(n_rows, n_cols, alpha_ibp / n_cols, ig_shape, ig_scale, rng)
+    a = alpha_ibp / n_cols
+    mask, slab = _prior_columns(n_rows, n_cols, a, ig_shape, ig_scale, rng)
+    while (short := np.flatnonzero(mask.sum(axis=0) < min_links)).size:
+        mask[:, short], slab[:, short] = _prior_columns(n_rows, short.size, a, ig_shape, ig_scale, rng)
     return WeightLayer(mask=mask, slab=slab)
 
 

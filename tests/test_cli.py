@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -218,6 +219,27 @@ def test_non_integer_count_exits_2(tmp_path, capsys, command, section, key, valu
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("generate", "sigma_top", math.inf),
+    ("generate", "alpha_ibp_per_layer", math.nan),
+    ("infer", "alpha_ibp_per_layer", math.nan),
+    ("infer", "sigma_floor", math.nan),
+    ("infer", "ig_scale_per_layer", [math.inf]),
+])
+def test_non_finite_hyperparameter_exits_2(tmp_path, capsys, command, key, value):
+    # json writes these as NaN and Infinity, which its reader accepts.
+    cfg = _write_config(tmp_path, {"model": {key: value}})
+    args = [command, "--config", cfg, "--out", str(tmp_path / "x"), "--seed", "3"]
+    if command == "infer":
+        args.insert(1, _generated_data(tmp_path))
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad 'model' section: {key} ")
+    assert "finite" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     data = _generated_data(tmp_path)
     cfg = _write_config(tmp_path, {"inference": {"iterations": -3}}, name="neg.json")
@@ -329,14 +351,17 @@ def test_experiment_bad_init_kind_exits_2(tmp_path, capsys):
     ("experiment", {"k_true_values": [-2]}, 2, "k_true_values must be >= 0"),
     ("experiment", {"n_dims": 1}, 2, "experiment needs n_dims >= 2"),
     ("experiment", {"n_dims": 0}, 2, "n_dims must be >= 1"),
-    ("experiment", {"k_true_values": [20]}, 2, "K_true 20 cannot be drawn over n_dims 5"),
+    ("experiment", {"k_true_values": [20]}, 0, ""),
     ("experiment", {"n_dims": 16, "k_true_values": [10], "replicates": 1}, 0, ""),
     ("generate", {"n_dims": 3, "n_instances": 5, "k_true_values": [10]}, 0, ""),
+    ("experiment", {"n_dims": 16, "k_true_values": [20], "replicates": 1}, 0, ""),
+    ("generate", {"replicates": 0}, 0, ""),
 ])
 def test_experiment_dimensions_checked(tmp_path, command, experiment, rc, message):
-    # A child process under a timeout, because a study with n_dims < 2,
-    # or with a K_true that takes too many truth draws, once redrew its
-    # truth forever. generate draws no study truth, so it takes any K_true.
+    # A child process under a timeout, because a study with n_dims < 2
+    # once redrew its truth forever. generate draws no study truth and
+    # reads only n_dims and n_instances, so the study's other fields
+    # do not concern it.
     doc = {"experiment": {**TINY_EXPERIMENT["experiment"], **experiment}}
     args = [command, "--config", _write_config(tmp_path, doc), "--out", str(tmp_path / "x"), "--seed", "3"]
     proc = subprocess.run([sys.executable, "-m", "deepibp.cli", *args], capture_output=True, text=True,

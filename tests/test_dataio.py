@@ -53,6 +53,15 @@ def test_write_dataset_rejects_bad_shapes(tmp_path):
         write_dataset_csv(tmp_path / "x.csv", np.zeros(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_dataset_rejects_non_finite(tmp_path, bad):
+    X = np.zeros((2, 3))
+    X[1, 2] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        write_dataset_csv(tmp_path / "x.csv", X)
+    assert not (tmp_path / "x.csv").exists()
+
+
 def _expect_error(tmp_path, content, line, fragment):
     path = tmp_path / "bad.csv"
     path.write_text(content)

@@ -1,6 +1,5 @@
 """Tests for the factor-count recovery study driver."""
 
-import math
 import signal
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 
 from deepibp import dataio
 from deepibp.experiment import (
-    _expected_truth_draws,
     DEFAULT_INITS,
     ExperimentConfig,
     TrialResult,
@@ -23,7 +21,7 @@ from deepibp.experiment import (
     trace_filename,
 )
 from deepibp.inference import ChainTrace
-from deepibp.model import HyperParams, LayerHyper, _prior_columns
+from deepibp.model import HyperParams, LayerHyper
 
 
 def _tiny_cfg(**overrides):
@@ -102,23 +100,6 @@ def test_experiment_config_validation():
             _tiny_cfg(**{key: bad})
 
 
-def test_expected_truth_draws_matches_the_prior():
-    # A draw is kept when each of its K columns links two dimensions, so
-    # the expected draw count is the per-column keep rate to the -K.
-    n_dims, k, alpha = 6, 4, 3.0
-    mask, _ = _prior_columns(n_dims, 40_000, alpha / k, 2.0, 1.0, np.random.default_rng(3))
-    keep = float(np.mean(mask.sum(axis=0) >= 2))
-    se = math.sqrt(keep * (1.0 - keep) / mask.shape[1])
-    draws = _expected_truth_draws(n_dims, k, alpha)
-    assert (keep + 4 * se) ** -k < draws < (keep - 4 * se) ** -k
-    assert _expected_truth_draws(n_dims, 0, alpha) == 1.0
-    assert _expected_truth_draws(1, 2, alpha) == math.inf
-    # At n_dims 16 and alpha 3 the study draws K_true 10 in about 1.1e3
-    # tries; K_true 20 takes about 3.8e10, past the limit of 1e6.
-    assert _expected_truth_draws(16, 10, 3.0) == pytest.approx(1.1e3, rel=0.05)
-    assert _expected_truth_draws(16, 20, 3.0) == pytest.approx(3.8e10, rel=0.05)
-
-
 def test_experiment_config_hyper():
     assert ExperimentConfig().layer_hyper == HyperParams().layer(0)
     lh = LayerHyper(alpha_ibp=2.5, ig_shape=3.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-6)
@@ -144,13 +125,13 @@ def test_make_truth_columns_well_used():
 
 def test_make_truth_rejects_unlinkable_columns():
     # One dimension cannot give any column two links; the redraw loop
-    # would never end, so make_truth must refuse.  The alarm turns a
+    # would never end, so the draw must refuse.  The alarm turns a
     # hang into a failure.
     rng = np.random.default_rng(0)
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.alarm(30)
     try:
-        with pytest.raises(ValueError, match="cannot each link two"):
+        with pytest.raises(ValueError, match="cannot each link 2 of 1 rows"):
             make_truth(_tiny_cfg(n_dims=1), 2, rng)
         assert make_truth(_tiny_cfg(n_dims=1), 0, rng).layers[-1].shape == (1, 0)
     finally:
@@ -182,8 +163,9 @@ def test_point_estimate_burn_math():
 
 def test_run_trial_shape_and_determinism():
     cfg = _tiny_cfg()
-    r1 = run_trial(cfg, 3, 0, 1)
-    r2 = run_trial(cfg, 3, 0, 1)
+    X = make_dataset(cfg, 3)
+    r1 = run_trial(cfg, X, 3, 0, 1)
+    r2 = run_trial(cfg, X, 3, 0, 1)
     assert len(r1.trace) == cfg.iterations
     assert r1.k_hat >= 0.0
     assert r1.seed_key == (42, 3, 0, 1)
@@ -195,8 +177,9 @@ def test_run_trial_shape_and_determinism():
 
 def test_run_trial_replicates_differ():
     cfg = _tiny_cfg()
-    r0 = run_trial(cfg, 3, 0, 0)
-    r1 = run_trial(cfg, 3, 0, 1)
+    X = make_dataset(cfg, 3)
+    r0 = run_trial(cfg, X, 3, 0, 0)
+    r1 = run_trial(cfg, X, 3, 0, 1)
     assert not np.array_equal(r0.trace.log_joint, r1.trace.log_joint)
 
 

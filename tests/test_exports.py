@@ -1,12 +1,16 @@
-"""Every exported name exists, so ``from deepibp import *`` cannot break."""
+"""Every exported name exists, so ``from deepibp import *`` cannot break, and
+every function the benchmark's tracer wraps by name resolves."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 import deepibp
 
 SUBMODULES = ["cli", "dataio", "experiment", "ibp", "inference", "model", "oracle"]
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 @pytest.mark.parametrize("name", ["deepibp"] + [f"deepibp.{sub}" for sub in SUBMODULES])
@@ -35,3 +39,16 @@ def test_star_import():
     namespace = {}
     exec("from deepibp import *", namespace)
     assert set(deepibp.__all__) <= set(namespace)
+
+
+def test_benchmark_boundaries_resolve():
+    # The benchmark's tracer wraps these functions by name, private ones
+    # included, so a rename must fail here and not only in a traced run.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for span, (module_name, attr) in tracer.BOUNDARIES.items():
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{span}: {module_name}.{attr} does not resolve"

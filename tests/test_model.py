@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
-from deepibp import model
+from deepibp import ibp, model
 from deepibp.model import (
     GenerativeModel,
     HyperParams,
@@ -91,6 +91,41 @@ def test_sample_weight_layer_zero_columns():
     rng = np.random.default_rng(7)
     layer = sample_weight_layer(4, 0, 1.0, 2.0, 1.0, rng)
     assert layer.shape == (4, 0)
+
+
+def test_sample_weight_layer_min_links_draws_the_conditioned_law():
+    # Columns are independent under the finite prior: one links c of n
+    # rows with probability C(n, c) times its one-column mask marginal.
+    # Conditioned on c >= 2 that law is renormalised over c >= 2, and
+    # each link count's frequency must sit within a z bound of it.  At
+    # a = 3 / 20 (K_true 20 over 16 dimensions) most raw columns are short.
+    n, k, a = 16, 40_000, 3.0 / 20
+    layer = sample_weight_layer(n, k, a * k, 2.0, 1.0, np.random.default_rng(13), min_links=2)
+    observed = np.bincount(layer.column_counts, minlength=n + 1)
+    raw = np.array([
+        math.comb(n, c) * math.exp(ibp.logprob_mask_marginal_counts(np.array([c]), n, a))
+        for c in range(n + 1)
+    ])
+    assert raw.sum() == pytest.approx(1.0, rel=1e-12)
+    assert raw[0] + raw[1] > 0.5
+    law = np.where(np.arange(n + 1) >= 2, raw, 0.0) / raw[2:].sum()
+    assert observed[:2].sum() == 0
+    z = (observed[2:] - k * law[2:]) / np.sqrt(k * law[2:] * (1.0 - law[2:]))
+    assert np.abs(z).max() < 4.0, z
+
+
+def test_sample_weight_layer_refuses_an_undrawable_condition():
+    rng = np.random.default_rng(14)
+    with pytest.raises(ValueError, match="3 columns cannot each link 2 of 1 rows"):
+        sample_weight_layer(1, 3, 3.0, 2.0, 1.0, rng, min_links=2)
+    # A NaN or infinite hyperparameter would leave every column empty
+    # and the redraw loop spinning.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            sample_weight_layer(3, 2, bad, 2.0, 1.0, rng, min_links=1)
+    # No column to condition, or a column that must link every row.
+    assert sample_weight_layer(1, 0, 3.0, 2.0, 1.0, rng, min_links=2).shape == (1, 0)
+    assert (sample_weight_layer(3, 4, 3.0, 2.0, 1.0, rng, min_links=3).mask == 1).all()
 
 
 def test_weight_layer_validates_shapes():
