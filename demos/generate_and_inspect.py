@@ -24,9 +24,9 @@ def main():
 
     print("layer stack (top to bottom):")
     for i, layer in enumerate(model.layers):
-        n, k = layer.shape
+        n, k = layer.mask.shape
         print(f"  weight layer {i}: {n} rows x {k} factors, "
-              f"column link counts {layer.column_counts.tolist()}")
+              f"column link counts {layer.mask.sum(axis=0).tolist()}")
         for row in layer.mask:
             print("    " + "".join(str(int(v)) for v in row))
 

@@ -11,7 +11,7 @@ the data better.
 import numpy as np
 
 from deepibp.inference import InferenceConfig, run_mh_layer
-from deepibp.model import GenerativeModel, HyperParams, generate_dataset
+from deepibp.model import GenerativeModel, HyperParams, LayerTarget, generate_dataset
 
 
 def main():
@@ -22,16 +22,16 @@ def main():
     # dimensions so the dataset really carries four recoverable factors.
     while True:
         truth = GenerativeModel.from_prior(hyper, n_dims=16, rng=rng)
-        if (truth.layers[0].column_counts >= 3).all():
+        if (truth.layers[0].mask.sum(axis=0) >= 3).all():
             break
     X = generate_dataset(truth, T=200, rng=rng)[-1]
     print(f"planted factors: {k_true}, column link counts "
-          f"{truth.layers[0].column_counts.tolist()}, data {X.shape[0]}x{X.shape[1]}")
+          f"{truth.layers[0].mask.sum(axis=0).tolist()}, data {X.shape[0]}x{X.shape[1]}")
 
-    layer_hyper = hyper.layer(0)
+    target = LayerTarget(hyper.layer(0))
     for init_k in (2, 10):
         cfg = InferenceConfig(iterations=200, init_k=init_k)
-        state, trace = run_mh_layer(X, cfg, layer_hyper, rng=np.random.default_rng(0))
+        state, trace = run_mh_layer(X, cfg, target, rng=np.random.default_rng(0))
         burn = len(trace) * 3 // 4
         print(f"\ninit K={init_k}:")
         print(f"  K every 25 iterations: {trace.k[::25].tolist()}")

@@ -26,7 +26,7 @@ from .model import (
     HyperParams,
     JointTerms,
     LayerHyper,
-    ParentContext,
+    LayerTarget,
     WeightLayer,
     generate_dataset,
     log_joint,
@@ -65,8 +65,8 @@ __all__ = [
     "InferenceConfig",
     "JointTerms",
     "LayerHyper",
+    "LayerTarget",
     "MoveStats",
-    "ParentContext",
     "SummaryStats",
     "TrialResult",
     "ValidationReport",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dataio
 from .inference import ChainTrace, InferenceConfig, check_init_k, run_mh_layer
-from .model import GenerativeModel, HyperParams, LayerHyper, as_int, generate_dataset, sample_weight_layer
+from .model import GenerativeModel, HyperParams, LayerHyper, LayerTarget, as_int, generate_dataset, sample_weight_layer
 
 __all__ = [
     "DEFAULT_INITS",
@@ -87,6 +87,11 @@ class ExperimentConfig:
         if min(self.k_true_values) < 0:
             raise ValueError("k_true_values must be >= 0")
         object.__setattr__(self, "inits", tuple(check_init_k(k, "inits") for k in self.inits))
+        # A repeat would rerun the same seeded chains under one label.
+        for name in ("k_true_values", "inits"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat an entry, got {list(values)}")
 
     def hyper(self, k_true: int) -> HyperParams:
         """One-layer hyperparameters of the truth with ``k_true`` factors."""
@@ -144,8 +149,7 @@ def make_truth(cfg: ExperimentConfig, k_true: int, rng: np.random.Generator) -> 
     drives at least two observed dimensions, which needs
     ``cfg.n_dims >= 2`` whenever ``k_true > 0``.
     """
-    lh = cfg.layer_hyper
-    layer = sample_weight_layer(cfg.n_dims, k_true, lh.alpha_ibp, lh.ig_shape, lh.ig_scale, rng, min_links=2)
+    layer = sample_weight_layer(cfg.n_dims, k_true, cfg.layer_hyper, rng, min_links=2)
     return GenerativeModel(hyper=cfg.hyper(k_true), layers=[layer])
 
 
@@ -172,7 +176,7 @@ def run_trial(cfg: ExperimentConfig, X: np.ndarray, k_true: int, init_index: int
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_key)))
     icfg = InferenceConfig(iterations=cfg.iterations, init_k=init)
     started = time.perf_counter()
-    _, trace = run_mh_layer(X, icfg, cfg.layer_hyper, rng=rng)
+    _, trace = run_mh_layer(X, icfg, LayerTarget(cfg.layer_hyper), rng=rng)
     elapsed = time.perf_counter() - started
     return TrialResult(
         k_true=k_true,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model
 from .ibp import as_binary_matrix, harmonic_number, logprob_mask_marginal_counts
-from .model import LayerHyper, ParentContext
+from .model import LayerTarget
 
 __all__ = [
     "ChainState",
@@ -144,7 +144,7 @@ class ChainState:
     slab @ Y, ``m`` the per-column link counts and ``sigma_y`` the
     factor-prior stds.  Those three are the only caches; no cache holds
     the log-joint, which ``model.log_joint`` prices on demand.  Every
-    kernel reads its hyperparameters from ``layer_hyper``, the same
+    kernel reads its hyperparameters from ``target.hyper``, the same
     values the log-joint is priced with.
     """
 
@@ -152,8 +152,7 @@ class ChainState:
     Y: np.ndarray
     mask: np.ndarray
     slab: np.ndarray
-    layer_hyper: LayerHyper
-    parent_context: ParentContext | None = None
+    target: LayerTarget
     stats: MoveStats = field(default_factory=MoveStats)
     m: np.ndarray = field(init=False)
     S: np.ndarray = field(init=False)
@@ -172,7 +171,7 @@ class ChainState:
         self.Y = model.as_factor_matrix(self.Y).copy()
         if self.Y.shape[0] != self.K:
             raise ValueError(f"Y has {self.Y.shape[0]} rows for {self.K} mask columns")
-        self.rebind(self.X, self.parent_context)
+        self.rebind(self.X, self.target)
 
     # -- dimensions ----------------------------------------------------
     @property
@@ -196,7 +195,7 @@ class ChainState:
         """Recompute every cache from the primary arrays; the state is not priced."""
         self.m = self.mask.sum(axis=0, dtype=np.int64)
         self.S = self.slab @ self.Y
-        self.sigma_y = model.factor_prior_sigma(self.K, self.T, self.layer_hyper, self.parent_context)
+        self.sigma_y = self.target.factor_sigma(self.K, self.T)
 
     def check_consistency(self) -> None:
         """Assert every cache matches a fresh recomputation and the log-joint is finite."""
@@ -206,7 +205,7 @@ class ChainState:
             raise AssertionError("cached m does not match the mask's column counts")
         if not _same_shape_close(self.S, self.slab @ self.Y, rtol=1e-7, atol=1e-10):
             raise AssertionError("cached S does not match slab @ Y")
-        fresh_sigma = model.factor_prior_sigma(self.K, self.T, self.layer_hyper, self.parent_context)
+        fresh_sigma = self.target.factor_sigma(self.K, self.T)
         if not _same_shape_close(self.sigma_y, fresh_sigma, rtol=1e-12, atol=0.0):
             raise AssertionError("cached sigma_y does not match the factor prior")
         if np.any((self.mask == 0) & (self.slab != 0.0)):
@@ -220,14 +219,9 @@ class ChainState:
     # -- construction ----------------------------------------------------
     @classmethod
     def from_prior(
-        cls,
-        X: np.ndarray,
-        cfg: InferenceConfig,
-        hyper: LayerHyper,
-        parent_context: ParentContext | None,
-        rng: np.random.Generator,
+        cls, X: np.ndarray, cfg: InferenceConfig, target: LayerTarget, rng: np.random.Generator
     ) -> "ChainState":
-        """Initialise mask/slab from the finite prior and factors from theirs.
+        """Initialise mask, slab and factors from one prior draw of ``target``.
 
         Each initial column is conditioned on having at least one link,
         so a chain initialised at K really starts with K active factors.
@@ -236,33 +230,24 @@ class ChainState:
         """
         X = model.as_factor_matrix(X)
         k0 = cfg.draw_init_k(rng) if X.shape[0] else 0
-        layer = model.sample_weight_layer(
-            X.shape[0], k0, hyper.alpha_ibp, hyper.ig_shape, hyper.ig_scale, rng, min_links=1
-        )
-        sigma_y = model.factor_prior_sigma(k0, X.shape[1], hyper, parent_context)
-        return cls(
-            X=X,
-            Y=sigma_y * rng.standard_normal((k0, X.shape[1])),
-            mask=layer.mask,
-            slab=layer.slab,
-            layer_hyper=hyper,
-            parent_context=parent_context,
-        )
+        mask, slab, Y = target.draw(X.shape[0], k0, X.shape[1], rng, min_links=1)
+        return cls(X=X, Y=Y, mask=mask, slab=slab, target=target)
 
-    def rebind(self, X: np.ndarray, parent_context: ParentContext | None) -> None:
-        """Point the chain at new data / a new upper-layer context and refresh."""
+    def rebind(self, X: np.ndarray, target: LayerTarget) -> None:
+        """Point the chain at new data and a new target, and refresh."""
         X = model.as_factor_matrix(X)
         if X.shape != (self.mask.shape[0], self.Y.shape[1]):
             raise ValueError(
                 f"data shape {X.shape} does not fit a chain with mask {self.mask.shape} "
                 f"and factors {self.Y.shape}"
             )
-        if parent_context is not None and parent_context.factors.shape[1] != X.shape[1]:
+        upper = target.upper_factors
+        if upper is not None and upper.shape[1] != X.shape[1]:
             raise ValueError(
-                f"context factors {parent_context.factors.shape} do not span the data's {X.shape[1]} instances"
+                f"upper factors {upper.shape} do not span the data's {X.shape[1]} instances"
             )
         self.X = X
-        self.parent_context = parent_context
+        self.target = target
         self.refresh()
 
 
@@ -300,7 +285,7 @@ def log_ratio_add(state: ChainState) -> float:
     chain keeps the last value under those inputs and reuses it while
     they match.
     """
-    alpha = state.layer_hyper.alpha_ibp
+    alpha = state.target.hyper.alpha_ibp
     key = (state.m.tobytes(), state.N, alpha)
     memo = state._add_ratio_memo
     if memo is not None and memo[0] == key:
@@ -322,7 +307,7 @@ def log_ratio_delete(state: ChainState, k: int) -> float:
         raise ValueError(f"factor {k} has {state.m[k]} links; only unlinked factors can be deleted")
     m_small = np.delete(state.m, k)
     return -_log_ratio_from_small(
-        m_small, int(np.count_nonzero(m_small)), state.N, state.layer_hyper.alpha_ibp
+        m_small, int(np.count_nonzero(m_small)), state.N, state.target.hyper.alpha_ibp
     )
 
 
@@ -332,7 +317,7 @@ def _resize(state: ChainState, keep: np.ndarray, n_new: int = 0) -> None:
     New columns have zero mask, slab and Y rows; callers draw their Y
     rows.  Only unlinked columns may be dropped, so ``S`` is unchanged.
     New rows take the factor prior's stds at their positions; kept rows
-    keep theirs, even where a parent context prices a moved row by its
+    keep theirs, even where an upper layer prices a moved row by its
     new position.  Dropping that copy moves depth-2 draws, so it belongs
     with the fix of that defect.  Arrays are allocated C-ordered, then
     filled: an F-ordered slab, as ``slab[:, keep]`` gives, makes BLAS
@@ -346,7 +331,7 @@ def _resize(state: ChainState, keep: np.ndarray, n_new: int = 0) -> None:
     mask[:, :n_keep] = state.mask.take(keep, axis=1)
     slab[:, :n_keep] = state.slab.take(keep, axis=1)
     Y[:n_keep] = state.Y.take(keep, axis=0)
-    sigma_y = model.factor_prior_sigma(K, state.T, state.layer_hyper, state.parent_context)
+    sigma_y = state.target.factor_sigma(K, state.T)
     sigma_y[:n_keep] = state.sigma_y.take(keep, axis=0)
     state.mask, state.slab, state.Y, state.sigma_y = mask, slab, Y, sigma_y
     state.m = np.append(state.m.take(keep), np.zeros(n_new, dtype=np.int64))
@@ -472,7 +457,7 @@ def gibbs_update_weight(state: ChainState, n: int, k: int, rng: np.random.Genera
     log-likelihoods at w = 0 and w_cur; the grid is built only when that
     bound lets the toggle through, and the decision is the same.
     """
-    lh = state.layer_hyper
+    lh = state.target.hyper
     active = bool(state.mask[n, k])
     m_minus = int(state.m[k]) - active
     spike_p, slab_p = model.spike_slab_predictive(m_minus, state.N, lh.alpha_ibp / state.K)
@@ -524,7 +509,7 @@ def gibbs_update_weight(state: ChainState, n: int, k: int, rng: np.random.Genera
         ws = _GRID_OFFSETS * h - half
         log_mass, mass, log_total = cell_log_mass(ws)
         if rng.random() < _TOGGLE_T_WEIGHT:
-            w_star = float(model.sample_student_t(df, t_scale, rng))
+            w_star = float(t_scale * rng.standard_t(df))
         else:
             cdf = np.cumsum(mass)
             cdf /= cdf[-1]
@@ -607,7 +592,7 @@ def _factor_row_update(state: ChainState, k: int, ts: np.ndarray, rng: np.random
     instance takes the same steps on Python floats (_factor_entry_update).
     """
     rows = np.flatnonzero(state.mask[:, k])
-    floor = state.layer_hyper.sigma_floor
+    floor = state.target.hyper.sigma_floor
     if len(ts) == 1:
         _factor_entry_update(state, k, int(ts[0]), rows, floor, rng)
         return
@@ -746,15 +731,14 @@ def gibbs_sweep(state: ChainState, rng: np.random.Generator) -> None:
 
 def resample_data(state: ChainState, rng: np.random.Generator) -> None:
     """Redraw the data matrix from the current weights and factors; the state is not priced."""
-    sigma = np.maximum(np.abs(state.S), state.layer_hyper.sigma_floor)
+    sigma = np.maximum(np.abs(state.S), state.target.hyper.sigma_floor)
     state.X = sigma * rng.standard_normal(state.X.shape)
 
 
 def run_mh_layer(
     X: np.ndarray,
     cfg: InferenceConfig,
-    hyper: LayerHyper,
-    parent_context: ParentContext | None = None,
+    target: LayerTarget,
     *,
     rng: np.random.Generator,
     initial_state: ChainState | None = None,
@@ -766,16 +750,15 @@ def run_mh_layer(
     resampled.  The trace records K, the refreshed log-joint and the
     per-iteration accepted add/delete counts; the state's ``stats``
     holds the chain's proposal and acceptance counters.  The chain
-    runs on ``X`` under ``hyper`` and ``parent_context`` and draws from
-    ``rng``: from the prior, or resumed from ``initial_state``, which is
-    given ``hyper`` and rebound to ``X`` and ``parent_context``.
+    runs on ``X`` under ``target`` and draws from ``rng``: from a prior
+    draw of ``target``, or resumed from ``initial_state``, which is
+    rebound to ``X`` and ``target``.
     """
     if initial_state is None:
-        state = ChainState.from_prior(X, cfg, hyper, parent_context, rng)
+        state = ChainState.from_prior(X, cfg, target, rng)
     else:
         state = initial_state
-        state.layer_hyper = hyper
-        state.rebind(X, parent_context)
+        state.rebind(X, target)
     cursor = 0
     ks = np.zeros(cfg.iterations, dtype=np.int64)
     ljs = np.zeros(cfg.iterations)
@@ -820,14 +803,15 @@ def run_layerwise(
     Runs the single-layer chain on the data, then on the inferred
     factors, and so on; repeats the whole pass up to
     ``cfg.layerwise_outer_loops`` times, re-inferring each layer under
-    the latest upper-layer context, until the stack's total log-joint
+    the latest state of the layer above, until the stack's total log-joint
     improves by less than 1 nat (_CONVERGENCE_TOL).  With depth 1 this
     is exactly one run_mh_layer call drawing from ``default_rng(seed)``;
     deeper, the chain of outer loop ``outer`` at layer ``ell`` draws
     from ``SeedSequence([seed, outer, ell])``.
 
-    Layer ``ell`` uses ``hyper.layer(ell)``; layers above the configured
-    ones reuse the top configured layer's values.
+    Layer ``ell``'s target has ``hyper.layer(ell)`` and, once the layer
+    above has a state, that state's slab and factors; layers above the
+    configured ones reuse the top configured layer's values.
     ``trace_sink(outer, layer, trace)``, when given, receives every
     per-chain trace.
 
@@ -838,24 +822,26 @@ def run_layerwise(
         raise ValueError("depth must be >= 1")
     seed = model.as_int(seed, "seed")
     if depth == 1:
-        state, trace = run_mh_layer(X, cfg, hyper.layer(0), rng=np.random.default_rng(seed))
+        state, trace = run_mh_layer(X, cfg, LayerTarget(hyper.layer(0)), rng=np.random.default_rng(seed))
         if trace_sink is not None:
             trace_sink(0, 0, trace)
         return [state]
     states: list[ChainState | None] = [None] * depth
+
+    def target(ell: int) -> LayerTarget:
+        lh = hyper.layer(min(ell, hyper.num_layers - 1))
+        up = states[ell + 1] if ell + 1 < depth else None
+        return LayerTarget(lh) if up is None else LayerTarget(lh, up.slab, up.Y)
+
     prev_total = -math.inf
     for outer in range(cfg.layerwise_outer_loops):
         for ell in range(depth):
             data = X if ell == 0 else states[ell - 1].Y
-            parent = None
-            if ell + 1 < depth and states[ell + 1] is not None:
-                up = states[ell + 1]
-                parent = ParentContext(weights=up.slab, factors=up.Y)
             warm = states[ell]
             if warm is not None and warm.X.shape[0] != data.shape[0]:
                 warm = None
             states[ell], trace = run_mh_layer(
-                data, cfg, hyper.layer(min(ell, hyper.num_layers - 1)), parent,
+                data, cfg, target(ell),
                 rng=np.random.default_rng(np.random.SeedSequence([seed, outer, ell])),
                 initial_state=warm,
             )
@@ -866,6 +852,5 @@ def run_layerwise(
             break
         prev_total = total
     for ell in range(depth - 1):
-        up = states[ell + 1]
-        states[ell].rebind(states[ell].X, ParentContext(weights=up.slab, factors=up.Y))
+        states[ell].rebind(states[ell].X, target(ell))
     return states

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ibp import as_binary_matrix, column_counts, harmonic_number, logprob_mask_marginal
+from .ibp import as_binary_matrix, harmonic_number, logprob_mask_marginal
 
 __all__ = [
     "FactorMatrix",
@@ -29,11 +29,10 @@ __all__ = [
     "HyperParams",
     "JointTerms",
     "LayerHyper",
-    "ParentContext",
+    "LayerTarget",
     "WeightLayer",
     "as_factor_matrix",
     "as_int",
-    "factor_prior_sigma",
     "gaussian_loglik",
     "generate_dataset",
     "log_joint",
@@ -61,7 +60,9 @@ def as_factor_matrix(X: FactorMatrix) -> np.ndarray:
 
 
 def as_int(value, name: str) -> int:
-    """``value`` as an int; a float (even 2.0), string or None raises ValueError naming ``name``."""
+    """``value`` as an int; a bool, float (even 2.0), string or None raises ValueError naming ``name``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:
@@ -82,13 +83,25 @@ def _as_layer_tuple(value, num_layers: int, name: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class LayerHyper:
-    """Flattened hyperparameters for a single layer's inference or sampling."""
+    """Flattened hyperparameters for a single layer's inference or sampling.
+
+    Every value must be finite and strictly positive, and ``sigma_floor``
+    must not exceed ``sigma_top``; a ValueError names the first field
+    that is not.
+    """
 
     alpha_ibp: float
     ig_shape: float
     ig_scale: float
     sigma_top: float
     sigma_floor: float
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if not 0.0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and strictly positive")
+        if self.sigma_floor > self.sigma_top:
+            raise ValueError("sigma_floor must not exceed sigma_top")
 
 
 @dataclass(frozen=True)
@@ -132,11 +145,8 @@ class HyperParams:
         L = len(widths)
         for name in ("alpha_ibp_per_layer", "ig_shape_per_layer", "ig_scale_per_layer"):
             object.__setattr__(self, name, _as_layer_tuple(getattr(self, name), L, name))
-        for name in ("sigma_top", "sigma_floor"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and strictly positive")
-        if self.sigma_floor > self.sigma_top:
-            raise ValueError("sigma_floor must not exceed sigma_top")
+        # The per-layer values are checked; a layer record checks the two sigmas.
+        self.layer(0)
 
     @property
     def num_layers(self) -> int:
@@ -181,14 +191,6 @@ class WeightLayer:
         """Effective weights: mask * slab."""
         return self.mask * self.slab
 
-    @property
-    def column_counts(self) -> np.ndarray:
-        return column_counts(self.mask)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.mask.shape
-
 
 @dataclass
 class GenerativeModel:
@@ -221,11 +223,8 @@ class GenerativeModel:
         layers_bottom_up = []
         child = n_dims
         for i in range(hyper.num_layers):
-            lh = hyper.layer(i)
             width = hyper.layer_widths[i]
-            layers_bottom_up.append(
-                sample_weight_layer(child, width, lh.alpha_ibp, lh.ig_shape, lh.ig_scale, rng)
-            )
+            layers_bottom_up.append(sample_weight_layer(child, width, hyper.layer(i), rng))
             child = width
         return cls(hyper=hyper, layers=list(reversed(layers_bottom_up)))
 
@@ -256,17 +255,29 @@ def _prior_columns(
     return mask, slab
 
 
+def _conditioned_columns(
+    n_rows: int, n_cols: int, hyper: LayerHyper, rng: np.random.Generator, min_links: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The checks and draws of ``sample_weight_layer``, as (mask, slab) arrays."""
+    if n_rows < 0 or n_cols < 0:
+        raise ValueError("matrix dimensions must be >= 0")
+    if n_cols > 0 and min_links > n_rows:
+        raise ValueError(f"{n_cols} columns cannot each link {min_links} of {n_rows} rows")
+    if n_cols == 0:
+        return np.zeros((n_rows, 0), dtype=np.int8), np.zeros((n_rows, 0))
+    a, shape, scale = hyper.alpha_ibp / n_cols, hyper.ig_shape, hyper.ig_scale
+    mask, slab = _prior_columns(n_rows, n_cols, a, shape, scale, rng)
+    # No column has fewer than zero links, so an unconditioned draw skips the count.
+    while min_links > 0 and (short := np.flatnonzero(mask.sum(axis=0) < min_links)).size:
+        mask[:, short], slab[:, short] = _prior_columns(n_rows, short.size, a, shape, scale, rng)
+    return mask, slab
+
+
 def sample_weight_layer(
-    n_rows: int,
-    n_cols: int,
-    alpha_ibp: float,
-    ig_shape: float,
-    ig_scale: float,
-    rng: np.random.Generator,
-    min_links: int = 0,
+    n_rows: int, n_cols: int, hyper: LayerHyper, rng: np.random.Generator, min_links: int = 0
 ) -> WeightLayer:
-    """Draw a weight layer from the finite prior, each column conditioned
-    on linking at least ``min_links`` rows.
+    """Draw a weight layer from the finite prior under ``hyper``, each
+    column conditioned on linking at least ``min_links`` rows.
 
     Per column: p ~ Beta(alpha_ibp / n_cols, 1) via inverse CDF,
     sigma^2 ~ InverseGamma(ig_shape, ig_scale), mask entries
@@ -276,19 +287,7 @@ def sample_weight_layer(
     the columns with fewer than ``min_links`` links, until none is
     left, draws from the conditioned prior law.
     """
-    if not all(0.0 < v < math.inf for v in (alpha_ibp, ig_shape, ig_scale)):
-        raise ValueError("alpha_ibp, ig_shape and ig_scale must be finite and strictly positive")
-    if n_rows < 0 or n_cols < 0:
-        raise ValueError("matrix dimensions must be >= 0")
-    if n_cols > 0 and min_links > n_rows:
-        raise ValueError(f"{n_cols} columns cannot each link {min_links} of {n_rows} rows")
-    if n_cols == 0:
-        empty = np.zeros((n_rows, 0))
-        return WeightLayer(mask=empty.astype(np.int8), slab=empty)
-    a = alpha_ibp / n_cols
-    mask, slab = _prior_columns(n_rows, n_cols, a, ig_shape, ig_scale, rng)
-    while (short := np.flatnonzero(mask.sum(axis=0) < min_links)).size:
-        mask[:, short], slab[:, short] = _prior_columns(n_rows, short.size, a, ig_shape, ig_scale, rng)
+    mask, slab = _conditioned_columns(n_rows, n_cols, hyper, rng, min_links)
     return WeightLayer(mask=mask, slab=slab)
 
 
@@ -315,47 +314,66 @@ def generate_dataset(model: GenerativeModel, T: int, rng: np.random.Generator) -
     return out
 
 
-@dataclass(frozen=True)
-class ParentContext:
-    """Fixed upper-layer weights and factors during one layer's inference.
+@dataclass(frozen=True, eq=False)
+class LayerTarget:
+    """The law one layer's chain samples: its hyperparameters under the frozen layer above.
 
-    Holds read-only copies of the arrays it is given, both checked 2-D
-    and finite, so later changes to the upper layer's live state do not
-    reach it.
+    ``upper_weights`` (this layer's K x J effective weights into the
+    layer above) and ``upper_factors`` (that layer's J x T factors) are
+    given together, or both left out for the top layer.  The target
+    holds read-only copies of them, both checked 2-D and finite, so
+    later changes to the upper layer's live state do not reach it.
     """
 
-    weights: np.ndarray
-    factors: np.ndarray
+    hyper: LayerHyper
+    upper_weights: np.ndarray | None = None
+    upper_factors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        W = as_factor_matrix(self.weights).copy()
-        Y = as_factor_matrix(self.factors).copy()
+        if not isinstance(self.hyper, LayerHyper):
+            raise TypeError(f"hyper must be a LayerHyper, got {type(self.hyper).__name__}")
+        if (self.upper_weights is None) != (self.upper_factors is None):
+            raise ValueError("upper_weights and upper_factors must be given together")
+        if self.upper_weights is None:
+            return
+        W = as_factor_matrix(self.upper_weights).copy()
+        Y = as_factor_matrix(self.upper_factors).copy()
         if W.shape[1] != Y.shape[0]:
-            raise ValueError(
-                f"context weights {W.shape} do not chain with factors {Y.shape}"
-            )
+            raise ValueError(f"upper weights {W.shape} do not chain with upper factors {Y.shape}")
         W.flags.writeable = False
         Y.flags.writeable = False
-        object.__setattr__(self, "weights", W)
-        object.__setattr__(self, "factors", Y)
+        object.__setattr__(self, "upper_weights", W)
+        object.__setattr__(self, "upper_factors", Y)
 
+    def factor_sigma(self, n_rows: int, T: int) -> np.ndarray:
+        """Prior stds of ``n_rows`` factor rows over T instances, shape (n_rows, T).
 
-def factor_prior_sigma(
-    n_rows: int, T: int, hyper: LayerHyper, parent: ParentContext | None
-) -> np.ndarray:
-    """Prior stds of ``n_rows`` factor rows over T instances, shape (n_rows, T).
+        Without an upper layer every row has std sigma_top.  Under one,
+        row j below its width gets max(|row j of upper_weights @
+        upper_factors|, sigma_floor); rows at or beyond the width
+        (factors added after the upper layer was frozen) fall back to
+        sigma_top.
+        """
+        out = np.full((n_rows, T), float(self.hyper.sigma_top))
+        if self.upper_weights is not None:
+            covered = min(n_rows, self.upper_weights.shape[0])
+            if covered:
+                out[:covered] = propagate_sigma_matrix(
+                    self.upper_weights[:covered], self.upper_factors, self.hyper.sigma_floor
+                )
+        return out
 
-    Without a parent context every row has std sigma_top.  Under one,
-    row j below the context's width gets max(|row j of weights @
-    factors|, sigma_floor); rows at or beyond the width (factors added
-    after the context was frozen) fall back to sigma_top.
-    """
-    out = np.full((n_rows, T), float(hyper.sigma_top))
-    if parent is not None:
-        covered = min(n_rows, parent.weights.shape[0])
-        if covered:
-            out[:covered] = propagate_sigma_matrix(parent.weights[:covered], parent.factors, hyper.sigma_floor)
-    return out
+    def draw(
+        self, n_rows: int, n_cols: int, T: int, rng: np.random.Generator, min_links: int = 0
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mask, slab, Y) of one prior draw of an ``n_rows`` x ``n_cols`` layer over T instances.
+
+        The mask and slab are ``sample_weight_layer``'s draws, each
+        column linking at least ``min_links`` rows; the (n_cols, T)
+        factors are then drawn with the stds of ``factor_sigma``.
+        """
+        mask, slab = _conditioned_columns(n_rows, n_cols, self.hyper, rng, min_links)
+        return mask, slab, self.factor_sigma(n_cols, T) * rng.standard_normal((n_cols, T))
 
 
 def gaussian_loglik(X: np.ndarray, sigma) -> float:
@@ -456,11 +474,6 @@ def student_t_logpdf(w, df: float, scale: float):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_student_t(df: float, scale: float, rng: np.random.Generator, size=None):
-    """Draw from the centred Student-t with the given df and scale."""
-    return scale * rng.standard_t(df, size=size)
-
-
 @dataclass(frozen=True)
 class JointTerms:
     """Additive decomposition of one layer's log-joint."""
@@ -485,7 +498,7 @@ class JointTerms:
 def log_joint_terms(state) -> JointTerms:
     """Evaluate the four components of the single-layer log-joint.
 
-    ``state`` is a ChainState, priced under its ``layer_hyper`` from its
+    ``state`` is a ChainState, priced under its ``target.hyper`` from its
     data ``X``, factors ``Y``, ``mask`` and ``slab`` and from the caches
     its ``refresh()`` derives: ``S`` (slab @ Y) for the data scales,
     ``sigma_y`` for the factor prior and ``m`` for the link counts.
@@ -496,7 +509,7 @@ def log_joint_terms(state) -> JointTerms:
     slab variances (Student-t mass over the active slab values); the
     factor count follows Poisson(alpha' H_N).
     """
-    lh = state.layer_hyper
+    lh = state.target.hyper
     N, K = state.mask.shape
     log_lik = gaussian_loglik(state.X, np.maximum(np.abs(state.S), lh.sigma_floor))
     log_y_prior = gaussian_loglik(state.Y, state.sigma_y) if K else 0.0

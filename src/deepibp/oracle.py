@@ -239,20 +239,19 @@ def frozen_kernel_state():
     to a larger one: its conditional then keeps visible mass on the
     spike, which makes the kernel checks exercise the toggle in both
     directions rather than only the value moves.  The factors and data
-    are drawn once from seed 7.  The state's ``layer_hyper`` holds the
+    are drawn once from seed 7.  The state's ``target.hyper`` holds the
     hyperparameters.
     """
     from .inference import ChainState
-    from .model import LayerHyper
 
-    hyper = LayerHyper(alpha_ibp=2.0, ig_shape=3.0, ig_scale=2.0, sigma_top=1.0, sigma_floor=1e-6)
+    hyper = model.LayerHyper(alpha_ibp=2.0, ig_shape=3.0, ig_scale=2.0, sigma_top=1.0, sigma_floor=1e-6)
     mask = np.array([[1, 1], [1, 1], [0, 1], [1, 1]], dtype=np.int8)
     slab = np.array([[0.4, -0.7], [-1.1, 0.6], [0.0, -0.8], [0.5, 1.2]])
     rng = np.random.default_rng(7)
     Y = rng.standard_normal((2, 10))
     sigma = np.maximum(np.abs((mask * slab) @ Y), hyper.sigma_floor)
     X = sigma * rng.standard_normal(sigma.shape)
-    return ChainState(X=X, Y=Y, mask=mask, slab=slab, layer_hyper=hyper)
+    return ChainState(X=X, Y=Y, mask=mask, slab=slab, target=model.LayerTarget(hyper))
 
 
 def _grid_tv(draws: np.ndarray, grid: np.ndarray, log_d: np.ndarray, log_atom: float) -> float:
@@ -326,7 +325,7 @@ def weight_kernel_tv(kept: int = 100_000, thin: int = 5, seed: int = 2024) -> fl
     from .inference import gibbs_update_weight
 
     state = frozen_kernel_state()
-    hyper = state.layer_hyper
+    hyper = state.target.hyper
     n0, k0 = 0, 0
     m_minus = int(state.m[k0]) - int(state.mask[n0, k0])
     a = hyper.alpha_ibp / state.K
@@ -371,7 +370,7 @@ def factor_kernel_tv(kept: int = 100_000, thin: int = 5, seed: int = 2025) -> fl
     x_col = state.X[rows, t0].copy()
     base = state.S[rows, t0] - w_col * state.Y[k0, t0]
     sig_prior = float(state.sigma_y[k0, t0])
-    floor = state.layer_hyper.sigma_floor
+    floor = state.target.hyper.sigma_floor
 
     def logtarget(y):
         y = np.atleast_1d(y)
@@ -519,22 +518,16 @@ def geweke_moment_zs(
     Returns |z| per moment.
     """
     from .inference import ChainState, gibbs_sweep, resample_data
-    from .model import LayerHyper
 
     N, K, T = 4, 2, 10
-    hyper = LayerHyper(**_GEWEKE_HYPER)
+    target = model.LayerTarget(model.LayerHyper(**_GEWEKE_HYPER))
     rng = np.random.default_rng(seed)
-
-    def draw_layer():
-        # The draws of sample_weight_layer, without its wrapper re-checking each fresh mask.
-        mask, slab = model._prior_columns(N, K, hyper.alpha_ibp / K, hyper.ig_shape, hyper.ig_scale, rng)
-        return mask, slab, hyper.sigma_top * rng.standard_normal((K, T))
 
     def moments(w, y):
         return w.sum() / w.size, (w * w).sum() / w.size, y.sum() / y.size, (y * y).sum() / y.size
 
     def draw_prior():
-        mask, slab, Y = draw_layer()
+        mask, slab, Y = target.draw(N, K, T, rng)
         return moments(mask * slab, Y)
 
     state = None
@@ -542,10 +535,10 @@ def geweke_moment_zs(
     def step():
         nonlocal state
         if state is None:
-            mask, slab, Y = draw_layer()
-            sigma = np.maximum(np.abs((mask * slab) @ Y), hyper.sigma_floor)
+            mask, slab, Y = target.draw(N, K, T, rng)
+            sigma = np.maximum(np.abs((mask * slab) @ Y), target.hyper.sigma_floor)
             X = sigma * rng.standard_normal((N, T))
-            state = ChainState(X=X, Y=Y, mask=mask, slab=slab, layer_hyper=hyper)
+            state = ChainState(X=X, Y=Y, mask=mask, slab=slab, target=target)
         gibbs_sweep(state, rng)
         resample_data(state, rng)
         # The slab is zero wherever the mask is, so it is the effective weight.

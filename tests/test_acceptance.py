@@ -14,7 +14,7 @@ from deepibp import ibp, model, oracle
 from deepibp.cli import main as cli_main
 from deepibp.experiment import ExperimentConfig, run_experiment
 from deepibp.inference import ChainState, log_ratio_add, log_ratio_delete
-from deepibp.model import LayerHyper, ParentContext
+from deepibp.model import LayerHyper, LayerTarget
 
 
 def _verdict(n: int, ok: bool, detail: str) -> None:
@@ -202,12 +202,13 @@ def test_criterion_8_add_delete_reciprocity():
             sigma_top=1.0,
             sigma_floor=1e-6,
         )
-        parent = None
+        target = LayerTarget(hyper)
         if i % 3 == 0:
             width = max(1, k_small + int(rng.integers(-1, 3)))
-            parent = ParentContext(
-                weights=rng.standard_normal((width, 2)),
-                factors=rng.standard_normal((2, T)),
+            target = LayerTarget(
+                hyper,
+                upper_weights=rng.standard_normal((width, 2)),
+                upper_factors=rng.standard_normal((2, T)),
             )
         mask = (rng.random((N, k_small)) < rng.choice([0.35, 0.6, 0.9])).astype(np.int8)
         if k_small and i % 5 == 0:
@@ -221,20 +222,20 @@ def test_criterion_8_add_delete_reciprocity():
         X = sigma_x * rng.standard_normal((N, T))
         small = ChainState(
             X=X, Y=Y, mask=mask, slab=slab,
-            layer_hyper=hyper, parent_context=parent,
+            target=target,
         )
 
         grown_mask = np.hstack([small.mask, np.zeros((N, 1), dtype=np.int8)])
         grown_slab = np.hstack([small.slab, np.zeros((N, 1))])
         probe = ChainState(
             X=X, Y=np.vstack([small.Y, np.zeros(T)]), mask=grown_mask,
-            slab=grown_slab, layer_hyper=hyper, parent_context=parent,
+            slab=grown_slab, target=target,
         )
         sigma_row = probe.sigma_y[-1]
         y_new = rng.standard_normal(T) * sigma_row
         large = ChainState(
             X=X, Y=np.vstack([small.Y, y_new]), mask=grown_mask,
-            slab=grown_slab, layer_hyper=hyper, parent_context=parent,
+            slab=grown_slab, target=target,
         )
 
         r_add = log_ratio_add(small)

@@ -206,6 +206,9 @@ def test_infer_depth_zero_exits_2(tmp_path, capsys):
     ("experiment", "experiment", "k_true_values", [2.7]),
     ("experiment", "experiment", "inits", [{"kind": "fixed", "value": 2.5}]),
     ("experiment", "experiment", "inits", [{"kind": "uniform", "lo": 2, "hi": 4.5}]),
+    # JSON true is no count, although Python's bool is an int.
+    ("generate", "model", "layer_widths", [True]),
+    ("infer", "inference", "iterations", True),
 ])
 def test_non_integer_count_exits_2(tmp_path, capsys, command, section, key, value):
     cfg = _write_config(tmp_path, {section: {key: value}})
@@ -356,6 +359,12 @@ def test_experiment_bad_init_kind_exits_2(tmp_path, capsys):
     ("generate", {"n_dims": 3, "n_instances": 5, "k_true_values": [10]}, 0, ""),
     ("experiment", {"n_dims": 16, "k_true_values": [20], "replicates": 1}, 0, ""),
     ("generate", {"replicates": 0}, 0, ""),
+    # A repeated K_true or init would rerun the same seeded chains.
+    ("experiment", {"k_true_values": [3, 3], "replicates": 2, "inits": [{"kind": "fixed", "value": 2}]},
+     2, "k_true_values must not repeat an entry"),
+    ("experiment", {"inits": [{"kind": "fixed", "value": 2}, {"kind": "fixed", "value": 2}]},
+     2, "inits must not repeat an entry"),
+    ("generate", {"n_dims": 3, "n_instances": 5, "k_true_values": [3, 3]}, 0, ""),
 ])
 def test_experiment_dimensions_checked(tmp_path, command, experiment, rc, message):
     # A child process under a timeout, because a study with n_dims < 2
@@ -475,12 +484,12 @@ def test_chain_checks_load_no_test_framework():
     code = ("import sys\n"
             "import numpy as np\n"
             "from deepibp.inference import InferenceConfig, run_mh_layer\n"
-            "from deepibp.model import LayerHyper\n"
+            "from deepibp.model import LayerHyper, LayerTarget\n"
             "rng = np.random.default_rng(3)\n"
             "hyper = LayerHyper(alpha_ibp=2.0, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0,\n"
             "                   sigma_floor=1e-6)\n"
             "state, _ = run_mh_layer(rng.standard_normal((4, 6)), InferenceConfig(iterations=3),\n"
-            "                        hyper, rng=rng)\n"
+            "                        LayerTarget(hyper), rng=rng)\n"
             "state.check_consistency()\n"
             "print(' '.join(m for m in sys.modules if m.startswith(('numpy.testing', 'unittest'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

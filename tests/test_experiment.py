@@ -95,8 +95,14 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError, match=f"{key} must be >= "):
             _tiny_cfg(**{key: bad})
     for key, bad in (("replicates", 1.5), ("iterations", 2.0), ("n_dims", 6.5),
-                     ("n_instances", "12"), ("k_true_values", (2.7,))):
+                     ("n_instances", "12"), ("k_true_values", (2.7,)), ("replicates", True),
+                     ("k_true_values", (True,))):
         with pytest.raises(ValueError, match=key):
+            _tiny_cfg(**{key: bad})
+    # Repeats, which would rerun the same seeded chains under one label;
+    # a range given as a list is the same init as the pair.
+    for key, bad in (("k_true_values", (3, 3)), ("inits", (2, 2)), ("inits", ((3, 10), [3, 10]))):
+        with pytest.raises(ValueError, match=f"{key} must not repeat an entry"):
             _tiny_cfg(**{key: bad})
 
 
@@ -118,7 +124,7 @@ def test_make_truth_columns_well_used():
     rng = np.random.default_rng(0)
     for k_true in (2, 3, 4):
         truth = make_truth(cfg, k_true, rng)
-        counts = truth.layers[-1].column_counts
+        counts = truth.layers[-1].mask.sum(axis=0)
         assert counts.shape == (k_true,)
         assert (counts >= 2).all()
 
@@ -133,7 +139,7 @@ def test_make_truth_rejects_unlinkable_columns():
     try:
         with pytest.raises(ValueError, match="cannot each link 2 of 1 rows"):
             make_truth(_tiny_cfg(n_dims=1), 2, rng)
-        assert make_truth(_tiny_cfg(n_dims=1), 0, rng).layers[-1].shape == (1, 0)
+        assert make_truth(_tiny_cfg(n_dims=1), 0, rng).layers[-1].mask.shape == (1, 0)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

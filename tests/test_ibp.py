@@ -154,9 +154,11 @@ def test_finite_law_approaches_process_law_in_left_ordered_form():
     rng = np.random.default_rng(9)
     draws = 100_000
     N, alpha, K = 2, 1.0, 64
+    hyper = model.LayerHyper(alpha_ibp=alpha, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-6)
 
     def finite_sampler(N_, alpha_, rng_):
-        Z = model.sample_weight_layer(N_, K, alpha_, 2.0, 1.0, rng_).mask
+        # mc_lof_histogram passes back the alpha that ``hyper`` holds.
+        Z = model.sample_weight_layer(N_, K, hyper, rng_).mask
         return Z[:, Z.any(axis=0)]
 
     finite = mc_lof_histogram(finite_sampler, N, alpha, draws, rng)

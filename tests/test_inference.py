@@ -23,7 +23,7 @@ from deepibp.inference import (
     run_mh_layer,
 )
 from deepibp.inference import _log_ratio_from_small, _loglik, _resize, _same_shape_close
-from deepibp.model import HyperParams, LayerHyper, ParentContext
+from deepibp.model import HyperParams, LayerHyper, LayerTarget
 
 
 HYPER = LayerHyper(alpha_ibp=2.0, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-6)
@@ -35,7 +35,7 @@ def _random_state(rng, N=5, K=3, T=8, hyper=HYPER, allow_empty_columns=True):
     slab = rng.standard_normal((N, K)) * mask
     Y = rng.standard_normal((K, T))
     X = rng.standard_normal((N, T))
-    return ChainState(X=X, Y=Y, mask=mask, slab=slab, layer_hyper=hyper)
+    return ChainState(X=X, Y=Y, mask=mask, slab=slab, target=LayerTarget(hyper))
 
 
 # -- configuration ----------------------------------------------------------
@@ -68,7 +68,7 @@ def test_from_prior_starts_with_every_factor_linked():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((6, 12))
     for k0 in (1, 2, 5, 10):
-        state = ChainState.from_prior(X, InferenceConfig(init_k=k0), HYPER, None, rng)
+        state = ChainState.from_prior(X, InferenceConfig(init_k=k0), LayerTarget(HYPER), rng)
         assert state.K == k0
         assert (state.m >= 1).all()
         state.check_consistency()
@@ -80,7 +80,7 @@ def test_chain_state_forces_slab_to_zero_off_mask():
     slab = np.ones((2, 2))
     state = ChainState(
         X=rng.standard_normal((2, 3)), Y=rng.standard_normal((2, 3)),
-        mask=mask, slab=slab, layer_hyper=HYPER,
+        mask=mask, slab=slab, target=LayerTarget(HYPER),
     )
     assert state.slab[0, 1] == 0.0 and state.slab[1, 0] == 0.0
     assert state.K_plus == 2
@@ -92,7 +92,7 @@ def test_chain_state_shape_validation():
         ChainState(
             X=rng.standard_normal((2, 3)), Y=rng.standard_normal((3, 3)),
             mask=np.zeros((2, 2), dtype=np.int8), slab=np.zeros((2, 2)),
-            layer_hyper=HYPER,
+            target=LayerTarget(HYPER),
         )
 
 
@@ -102,7 +102,7 @@ def test_chain_state_copies_the_arrays_it_is_given():
     slab = rng.standard_normal((5, 3)) * mask
     Y = rng.standard_normal((3, 8))
     given = [mask.copy(), slab.copy(), Y.copy()]
-    state = ChainState(X=rng.standard_normal((5, 8)), Y=Y, mask=mask, slab=slab, layer_hyper=HYPER)
+    state = ChainState(X=rng.standard_normal((5, 8)), Y=Y, mask=mask, slab=slab, target=LayerTarget(HYPER))
     for _ in range(3):
         gibbs_sweep(state, rng)
     for mine, theirs, before in zip((state.mask, state.slab, state.Y), (mask, slab, Y), given):
@@ -151,12 +151,15 @@ def test_rebind_replaces_data_and_context():
     rng = np.random.default_rng(5)
     state = _random_state(rng)
     X2 = rng.standard_normal((5, 8))
-    ctx = ParentContext(weights=rng.standard_normal((3, 2)), factors=rng.standard_normal((2, 8)))
-    state.rebind(X2, ctx)
+    target = LayerTarget(HYPER, rng.standard_normal((3, 2)), rng.standard_normal((2, 8)))
+    state.rebind(X2, target)
     np.testing.assert_array_equal(state.X, X2)
+    assert state.target is target
     state.check_consistency()
     with pytest.raises(ValueError):
-        state.rebind(rng.standard_normal((4, 8)), None)
+        state.rebind(rng.standard_normal((4, 8)), LayerTarget(HYPER))
+    with pytest.raises(ValueError, match="do not span"):
+        state.rebind(X2, LayerTarget(HYPER, rng.standard_normal((3, 2)), rng.standard_normal((2, 9))))
 
 
 @pytest.mark.parametrize("mask, slab, match", [
@@ -166,7 +169,7 @@ def test_rebind_replaces_data_and_context():
 ])
 def test_chain_state_rejects_bad_mask_or_slab(mask, slab, match):
     with pytest.raises(ValueError, match=match):
-        ChainState(X=np.ones((3, 4)), Y=np.ones((2, 4)), mask=mask, slab=slab, layer_hyper=HYPER)
+        ChainState(X=np.ones((3, 4)), Y=np.ones((2, 4)), mask=mask, slab=slab, target=LayerTarget(HYPER))
 
 
 def _bump_first(cache):
@@ -188,9 +191,9 @@ def test_check_consistency_catches_each_stale_cache(cache, corrupt, with_context
     rng = np.random.default_rng(30)
     state = _random_state(rng)
     if with_context:
-        # Under a context the factor-prior stds vary by entry.
-        ctx = ParentContext(weights=3.0 * rng.standard_normal((2, 2)), factors=rng.standard_normal((2, 8)))
-        state.rebind(state.X, ctx)
+        # Under an upper layer the factor-prior stds vary by entry.
+        upper = LayerTarget(HYPER, 3.0 * rng.standard_normal((2, 2)), rng.standard_normal((2, 8)))
+        state.rebind(state.X, upper)
         assert np.unique(state.sigma_y).size > 1
     state.check_consistency()
     setattr(state, cache, corrupt(getattr(state, cache)))
@@ -230,7 +233,7 @@ def test_add_delete_ratios_are_reciprocal():
         Y=np.vstack([state.Y, rng.standard_normal(state.T)]),
         mask=np.hstack([state.mask, np.zeros((state.N, 1), dtype=np.int8)]),
         slab=np.hstack([state.slab, np.zeros((state.N, 1))]),
-        layer_hyper=state.layer_hyper,
+        target=state.target,
     )
     r_del = log_ratio_delete(grown, grown.K - 1)
     assert abs(r_add + r_del) < 1e-12
@@ -259,7 +262,7 @@ def test_empty_state_add_uses_bootstrap():
     state = ChainState(
         X=rng.standard_normal((3, 4)), Y=np.zeros((0, 4)),
         mask=np.zeros((3, 0), dtype=np.int8), slab=np.zeros((3, 0)),
-        layer_hyper=hyper,
+        target=LayerTarget(hyper),
     )
     # With no factor linked, 1 stands in for the reverse factor K+/K;
     # from K = 0 the structure factor 1/(K+1) is 1 as well, leaving the
@@ -288,7 +291,7 @@ def _check_resized(state):
         assert arr.flags.c_contiguous
     rebuilt = ChainState(
         X=state.X, Y=state.Y, mask=state.mask, slab=state.slab,
-        layer_hyper=state.layer_hyper, parent_context=state.parent_context,
+        target=state.target,
     )
     np.testing.assert_array_equal(rebuilt.m, state.m)
     assert _same_shape_close(state.S, rebuilt.S, rtol=1e-7, atol=1e-10)
@@ -308,12 +311,12 @@ def test_resize_keeps_every_cache_consistent(N, K, T, width, steps, seed):
     for with_context in (False, True):
         rng = np.random.default_rng(seed)
         mask = (rng.random((N, K)) < 0.5).astype(np.int8)
-        ctx = None
+        target = LayerTarget(hyper)
         if with_context:
-            ctx = ParentContext(weights=3.0 * rng.standard_normal((width, 2)), factors=rng.standard_normal((2, T)))
+            target = LayerTarget(hyper, 3.0 * rng.standard_normal((width, 2)), rng.standard_normal((2, T)))
         state = ChainState(
             X=rng.standard_normal((N, T)), Y=rng.standard_normal((K, T)),
-            mask=mask, slab=rng.standard_normal((N, K)), layer_hyper=hyper, parent_context=ctx,
+            mask=mask, slab=rng.standard_normal((N, K)), target=target,
         )
         _check_resized(state)
         for step in steps:
@@ -351,11 +354,11 @@ def test_delete_anywhere_without_context_matches_the_log_joint():
         Y = rng.standard_normal((K, T))
         # Data at the state's own emission scale, as in criterion 8.
         X = model.propagate_sigma_matrix(slab, Y, hyper.sigma_floor) * rng.standard_normal((N, T))
-        large = ChainState(X=X, Y=Y, mask=mask, slab=slab, layer_hyper=hyper)
+        large = ChainState(X=X, Y=Y, mask=mask, slab=slab, target=LayerTarget(hyper))
         for k in np.flatnonzero(large.m == 0).tolist():
             small = ChainState(
                 X=X, Y=np.delete(Y, k, axis=0), mask=np.delete(mask, k, axis=1),
-                slab=np.delete(slab, k, axis=1), layer_hyper=hyper,
+                slab=np.delete(slab, k, axis=1), target=LayerTarget(hyper),
             )
             structure = -math.log(small.K + 1.0)
             if small.K_plus:
@@ -378,10 +381,10 @@ def test_delete_under_context_prices_moved_rows_by_position():
     hyper = LayerHyper(alpha_ibp=2.0, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-3)
     mask = np.ones((N, K), dtype=np.int8)
     mask[:, 1] = 0
-    ctx = ParentContext(weights=3.0 * rng.standard_normal((K, 2)), factors=rng.standard_normal((2, T)))
+    target = LayerTarget(hyper, 3.0 * rng.standard_normal((K, 2)), rng.standard_normal((2, T)))
     state = ChainState(
         X=rng.standard_normal((N, T)), Y=rng.standard_normal((K, T)),
-        mask=mask, slab=rng.standard_normal((N, K)), layer_hyper=hyper, parent_context=ctx,
+        mask=mask, slab=rng.standard_normal((N, K)), target=target,
     )
     _delete_column(state, 1)
     state.check_consistency()
@@ -395,7 +398,7 @@ def test_add_ratio_memo_follows_link_counts():
     state = ChainState(
         X=rng.standard_normal((N, T)), Y=np.zeros((0, T)),
         mask=np.zeros((N, 0), dtype=np.int8), slab=np.zeros((N, 0)),
-        layer_hyper=HYPER,
+        target=LayerTarget(HYPER),
     )
 
     def check():
@@ -501,7 +504,7 @@ def test_weight_toggle_matches_prior_predictive_without_data():
     slab = np.where(mask, 0.5, 0.0)
     state = ChainState(
         X=np.zeros((4, 0)), Y=np.zeros((2, 0)),
-        mask=mask, slab=slab, layer_hyper=hyper,
+        mask=mask, slab=slab, target=LayerTarget(hyper),
     )
     rng = np.random.default_rng(31)
     hits = kept = 0
@@ -532,7 +535,7 @@ def test_unlinked_factor_redrawn_from_prior():
     slab = np.where(mask, 0.8, 0.0)
     state = ChainState(
         X=rng.standard_normal((3, 6)), Y=rng.standard_normal((2, 6)),
-        mask=mask, slab=slab, layer_hyper=HYPER,
+        mask=mask, slab=slab, target=LayerTarget(HYPER),
     )
     draws = np.array([gibbs_update_factor(state, 1, 2, rng) for _ in range(20_000)])
     assert abs(draws.mean()) < 3.0 / math.sqrt(draws.size)
@@ -549,7 +552,7 @@ def test_linked_factor_samples_have_symmetric_mean():
     slab = np.array([[0.9], [-0.6], [1.3]])
     Y = rng.standard_normal((1, 5))
     X = np.abs(slab @ Y) * rng.standard_normal((3, 5))
-    state = ChainState(X=X, Y=Y, mask=mask, slab=slab, layer_hyper=HYPER)
+    state = ChainState(X=X, Y=Y, mask=mask, slab=slab, target=LayerTarget(HYPER))
     draws = np.array([gibbs_update_factor(state, 0, 0, rng) for _ in range(30_000)])
     kept = draws[::10]
     se = kept.std(ddof=1) / math.sqrt(len(kept))
@@ -561,7 +564,7 @@ def test_linked_factor_samples_have_symmetric_mean():
 def test_resample_data_standardized_moments():
     rng = np.random.default_rng(16)
     state = _random_state(rng, N=4, K=2, T=10)
-    sigma = np.maximum(np.abs(state.S), state.layer_hyper.sigma_floor)
+    sigma = np.maximum(np.abs(state.S), state.target.hyper.sigma_floor)
     z = np.empty((400,) + sigma.shape)
     for r in range(400):
         resample_data(state, rng)
@@ -576,7 +579,7 @@ def test_resample_data_standardized_moments():
 def test_run_mh_layer_zero_iterations():
     rng = np.random.default_rng(17)
     X = rng.standard_normal((4, 6))
-    state, trace = run_mh_layer(X, InferenceConfig(iterations=0), HYPER, rng=np.random.default_rng(1))
+    state, trace = run_mh_layer(X, InferenceConfig(iterations=0), LayerTarget(HYPER), rng=np.random.default_rng(1))
     assert len(trace) == 0
     state.check_consistency()
 
@@ -585,7 +588,7 @@ def test_run_mh_layer_trace_and_stats():
     rng = np.random.default_rng(18)
     X = rng.standard_normal((6, 20))
     cfg = InferenceConfig(iterations=12, init_k=2)
-    state, trace = run_mh_layer(X, cfg, HYPER, rng=np.random.default_rng(5))
+    state, trace = run_mh_layer(X, cfg, LayerTarget(HYPER), rng=np.random.default_rng(5))
     assert len(trace) == 12
     assert (trace.k >= 0).all()
     assert trace.k[-1] == state.K
@@ -598,8 +601,8 @@ def test_run_mh_layer_seed_determinism():
     rng = np.random.default_rng(19)
     X = rng.standard_normal((5, 15))
     cfg = InferenceConfig(iterations=10, init_k=3)
-    s1, t1 = run_mh_layer(X, cfg, HYPER, rng=np.random.default_rng(7))
-    s2, t2 = run_mh_layer(X, cfg, HYPER, rng=np.random.default_rng(7))
+    s1, t1 = run_mh_layer(X, cfg, LayerTarget(HYPER), rng=np.random.default_rng(7))
+    s2, t2 = run_mh_layer(X, cfg, LayerTarget(HYPER), rng=np.random.default_rng(7))
     np.testing.assert_array_equal(t1.k, t2.k)
     np.testing.assert_array_equal(t1.log_joint, t2.log_joint)
     np.testing.assert_array_equal(s1.mask, s2.mask)
@@ -610,15 +613,14 @@ def test_run_mh_layer_seed_determinism():
 def test_run_mh_layer_warm_start_takes_its_arguments():
     rng = np.random.default_rng(23)
     X = rng.standard_normal((5, 12))
-    state, _ = run_mh_layer(X, InferenceConfig(iterations=3, init_k=2), HYPER, rng=rng)
+    state, _ = run_mh_layer(X, InferenceConfig(iterations=3, init_k=2), LayerTarget(HYPER), rng=rng)
     X2 = rng.standard_normal((5, 12))
     hyper2 = LayerHyper(alpha_ibp=0.5, ig_shape=3.0, ig_scale=2.0, sigma_top=1.0, sigma_floor=1e-6)
-    ctx = ParentContext(weights=rng.standard_normal((state.K, 2)), factors=rng.standard_normal((2, 12)))
-    resumed, _ = run_mh_layer(X2, InferenceConfig(iterations=0), hyper2, ctx, rng=rng, initial_state=state)
+    target = LayerTarget(hyper2, rng.standard_normal((state.K, 2)), rng.standard_normal((2, 12)))
+    resumed, _ = run_mh_layer(X2, InferenceConfig(iterations=0), target, rng=rng, initial_state=state)
     assert resumed is state
     np.testing.assert_array_equal(resumed.X, X2)
-    assert resumed.layer_hyper == hyper2
-    assert resumed.parent_context is ctx
+    assert resumed.target is target
     resumed.check_consistency()
 
 
@@ -636,7 +638,7 @@ def test_run_layerwise_depth_one_equals_single_layer():
     hyper = HyperParams(layer_widths=(3,))
     collected = []
     states = run_layerwise(X, 1, cfg, hyper, 11, trace_sink=lambda o, l, t: collected.append((o, l, t)))
-    direct_state, direct_trace = run_mh_layer(X, cfg, hyper.layer(0), rng=np.random.default_rng(11))
+    direct_state, direct_trace = run_mh_layer(X, cfg, LayerTarget(hyper.layer(0)), rng=np.random.default_rng(11))
     assert len(states) == 1
     np.testing.assert_array_equal(collected[0][2].k, direct_trace.k)
     np.testing.assert_array_equal(states[0].mask, direct_state.mask)
@@ -664,7 +666,7 @@ def test_chain_over_no_rows_stays_at_k_zero():
     # No rows give the factor count a rate of alpha * H_0 = 0: K = 0 is
     # the only value with prior mass, whatever init_k asks for.
     cfg = InferenceConfig(iterations=3, init_k=3)
-    state, trace = run_mh_layer(np.zeros((0, 10)), cfg, HYPER, rng=np.random.default_rng(2))
+    state, trace = run_mh_layer(np.zeros((0, 10)), cfg, LayerTarget(HYPER), rng=np.random.default_rng(2))
     assert state.K == 0
     assert (trace.k == 0).all()
     assert np.isfinite(trace.log_joint).all()
@@ -693,7 +695,7 @@ def test_run_layerwise_pads_hyper_to_depth():
     hyper = HyperParams(layer_widths=(3,))
     states = run_layerwise(X, 2, cfg, hyper, 3)
     assert len(states) == 2
-    assert [st.layer_hyper for st in states] == [hyper.layer(0)] * 2
+    assert [st.target.hyper for st in states] == [hyper.layer(0)] * 2
     # Two configured layers at depth 3: the third reuses the second's values.
     hyper = HyperParams(
         alpha_ibp_per_layer=(3.0, 1.5), ig_shape_per_layer=(2.0, 3.0),
@@ -701,7 +703,7 @@ def test_run_layerwise_pads_hyper_to_depth():
     )
     cfg = InferenceConfig(iterations=3, init_k=3, layerwise_outer_loops=1)
     states = run_layerwise(X, 3, cfg, hyper, 4)
-    assert [st.layer_hyper for st in states] == [hyper.layer(0), hyper.layer(1), hyper.layer(1)]
-    assert states[2].layer_hyper == LayerHyper(
+    assert [st.target.hyper for st in states] == [hyper.layer(0), hyper.layer(1), hyper.layer(1)]
+    assert states[2].target.hyper == LayerHyper(
         alpha_ibp=1.5, ig_shape=3.0, ig_scale=0.5, sigma_top=1.0, sigma_floor=1e-6
     )

@@ -16,7 +16,7 @@ import pytest
 
 from deepibp import inference, model, oracle
 from deepibp.inference import ChainState, gibbs_sweep, gibbs_update_factor, _factor_row_update
-from deepibp.model import LayerHyper, ParentContext
+from deepibp.model import LayerHyper, LayerTarget
 
 HYPER = LayerHyper(alpha_ibp=2.0, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-6)
 STEP = 0.5  # the library's fixed random-walk step scale
@@ -51,7 +51,7 @@ def _toggle_grid(x_row, base_row, y_row, floor, df, t_scale):
 
 def _toggle_draw(centers, log_mass, h, df, t_scale, rng):
     if rng.random() < _TOGGLE_T_WEIGHT:
-        return float(model.sample_student_t(df, t_scale, rng))
+        return float(t_scale * rng.standard_t(df))
     probs = np.exp(log_mass)
     g = int(rng.choice(len(centers), p=probs / probs.sum()))
     return float(centers[g] + (rng.random() - 0.5) * h)
@@ -191,10 +191,10 @@ def _state(seed, N, T, K, parent=False, unlinked=None):
     Y = rng.standard_normal((K, T))
     sigma = np.maximum(np.abs((mask * slab) @ Y), HYPER.sigma_floor)
     X = sigma * rng.standard_normal((N, T))
-    ctx = None
+    target = LayerTarget(HYPER)
     if parent:
-        ctx = ParentContext(weights=rng.standard_normal((K - 1, 2)), factors=rng.standard_normal((2, T)))
-    return ChainState(X=X, Y=Y, mask=mask, slab=slab, layer_hyper=HYPER, parent_context=ctx)
+        target = LayerTarget(HYPER, rng.standard_normal((K - 1, 2)), rng.standard_normal((2, T)))
+    return ChainState(X=X, Y=Y, mask=mask, slab=slab, target=target)
 
 
 def _assert_same_chain(new, ref, rng_new, rng_ref):
@@ -243,7 +243,7 @@ def test_single_entry_factor_updates_follow_reference():
     for i in range(20_000):
         k, t = i % new.K, (i // new.K) % new.T
         gibbs_update_factor(new, k, t, rng_new)
-        ref_factor_row_update(ref, k, np.array([t]), ref.layer_hyper, rng_ref, STEP)
+        ref_factor_row_update(ref, k, np.array([t]), ref.target.hyper, rng_ref, STEP)
     assert 0 < new.stats.factor_accepted < new.stats.factor_proposed
     _assert_same_chain(new, ref, rng_new, rng_ref)
 
@@ -290,7 +290,7 @@ def test_early_rejection_skips_most_grids_and_keeps_the_chain(monkeypatch):
 
 def _ref_death_log_ratio(state, n, k):
     """The exact death log-ratio of entry (n, k) from the reference grid, and the grid's half-width."""
-    lh = state.layer_hyper
+    lh = state.target.hyper
     m_minus = int(state.m[k]) - 1
     spike_p, slab_p = model.spike_slab_predictive(m_minus, state.N, lh.alpha_ibp / state.K)
     w_cur = float(state.slab[n, k])

@@ -12,7 +12,7 @@ from deepibp.model import (
     GenerativeModel,
     HyperParams,
     LayerHyper,
-    ParentContext,
+    LayerTarget,
     WeightLayer,
     generate_dataset,
     log_joint,
@@ -56,6 +56,11 @@ def test_propagate_sigma_matrix_matches_scalar():
 
 # -- prior sampling of a weight layer -------------------------------------
 
+def _hyper(alpha_ibp, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0):
+    return LayerHyper(alpha_ibp=alpha_ibp, ig_shape=ig_shape, ig_scale=ig_scale,
+                      sigma_top=sigma_top, sigma_floor=1e-6)
+
+
 def test_sample_weight_layer_inclusion_frequency():
     # With alpha equal to K the inclusion probabilities are Beta(1, 1),
     # so the marginal entry inclusion is 1/2.  Entries within a column
@@ -63,14 +68,14 @@ def test_sample_weight_layer_inclusion_frequency():
     # of columns: Var(mean) ~ (Var(p) + E[p(1-p)]/N) / K.
     rng = np.random.default_rng(4)
     N, K = 10, 10_000
-    layer = sample_weight_layer(N, K, float(K), 2.0, 1.0, rng)
+    layer = sample_weight_layer(N, K, _hyper(float(K)), rng)
     se = math.sqrt((1.0 / 12.0 + (1.0 / 6.0) / N) / K)
     assert abs(layer.mask.mean() - 0.5) < 3.0 * se
 
 
 def test_sample_weight_layer_variance_mean():
     rng = np.random.default_rng(5)
-    layer = sample_weight_layer(20, 50_000, 1.0, 2.0, 1.0, rng)
+    layer = sample_weight_layer(20, 50_000, _hyper(1.0), rng)
     # A column's slab entries are N(0, sigma^2) with sigma^2 ~
     # InverseGamma(2, 1), whose mean is 1, so each column's slab variance
     # across its rows averages to 1 over the columns.  Heavy tails, so
@@ -81,16 +86,16 @@ def test_sample_weight_layer_variance_mean():
 
 def test_sample_weight_layer_records_columns_and_masks_slab():
     rng = np.random.default_rng(6)
-    layer = sample_weight_layer(5, 3, 2.0, 2.0, 1.0, rng)
-    assert layer.shape == (5, 3)
+    layer = sample_weight_layer(5, 3, _hyper(2.0), rng)
+    assert layer.mask.shape == (5, 3)
     assert set(np.unique(layer.mask)) <= {0, 1}
     np.testing.assert_array_equal(layer.weights, layer.mask * layer.slab)
 
 
 def test_sample_weight_layer_zero_columns():
     rng = np.random.default_rng(7)
-    layer = sample_weight_layer(4, 0, 1.0, 2.0, 1.0, rng)
-    assert layer.shape == (4, 0)
+    layer = sample_weight_layer(4, 0, _hyper(1.0), rng)
+    assert layer.mask.shape == (4, 0)
 
 
 def test_sample_weight_layer_min_links_draws_the_conditioned_law():
@@ -100,8 +105,8 @@ def test_sample_weight_layer_min_links_draws_the_conditioned_law():
     # each link count's frequency must sit within a z bound of it.  At
     # a = 3 / 20 (K_true 20 over 16 dimensions) most raw columns are short.
     n, k, a = 16, 40_000, 3.0 / 20
-    layer = sample_weight_layer(n, k, a * k, 2.0, 1.0, np.random.default_rng(13), min_links=2)
-    observed = np.bincount(layer.column_counts, minlength=n + 1)
+    layer = sample_weight_layer(n, k, _hyper(a * k), np.random.default_rng(13), min_links=2)
+    observed = np.bincount(layer.mask.sum(axis=0), minlength=n + 1)
     raw = np.array([
         math.comb(n, c) * math.exp(ibp.logprob_mask_marginal_counts(np.array([c]), n, a))
         for c in range(n + 1)
@@ -117,15 +122,10 @@ def test_sample_weight_layer_min_links_draws_the_conditioned_law():
 def test_sample_weight_layer_refuses_an_undrawable_condition():
     rng = np.random.default_rng(14)
     with pytest.raises(ValueError, match="3 columns cannot each link 2 of 1 rows"):
-        sample_weight_layer(1, 3, 3.0, 2.0, 1.0, rng, min_links=2)
-    # A NaN or infinite hyperparameter would leave every column empty
-    # and the redraw loop spinning.
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite and strictly positive"):
-            sample_weight_layer(3, 2, bad, 2.0, 1.0, rng, min_links=1)
+        sample_weight_layer(1, 3, _hyper(3.0), rng, min_links=2)
     # No column to condition, or a column that must link every row.
-    assert sample_weight_layer(1, 0, 3.0, 2.0, 1.0, rng, min_links=2).shape == (1, 0)
-    assert (sample_weight_layer(3, 4, 3.0, 2.0, 1.0, rng, min_links=3).mask == 1).all()
+    assert sample_weight_layer(1, 0, _hyper(3.0), rng, min_links=2).mask.shape == (1, 0)
+    assert (sample_weight_layer(3, 4, _hyper(3.0), rng, min_links=3).mask == 1).all()
 
 
 def test_weight_layer_validates_shapes():
@@ -154,10 +154,39 @@ def test_hyper_params_validation():
         HyperParams(layer_widths=())
     with pytest.raises(ValueError):
         HyperParams(alpha_ibp_per_layer=(1.0, 2.0), layer_widths=(3,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma_floor must not exceed sigma_top"):
         HyperParams(sigma_top=0.5, sigma_floor=0.6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha_ibp_per_layer"):
         HyperParams(alpha_ibp_per_layer=-1.0)
+    # The layer record checks the two sigmas, under their own names.
+    with pytest.raises(ValueError, match="sigma_top must be finite and strictly positive"):
+        HyperParams(sigma_top=math.nan)
+
+
+@pytest.mark.parametrize("name", ["alpha_ibp", "ig_shape", "ig_scale", "sigma_top", "sigma_floor"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_layer_hyper_rejects_each_bad_value_by_name(name, bad):
+    values = dict(alpha_ibp=2.0, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-6)
+    values[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite and strictly positive"):
+        LayerHyper(**values)
+
+
+def test_layer_hyper_rejects_a_floor_above_the_top():
+    with pytest.raises(ValueError, match="sigma_floor must not exceed sigma_top"):
+        LayerHyper(alpha_ibp=2.0, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=5.0)
+    assert LayerHyper(alpha_ibp=2.0, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1.0).sigma_floor == 1.0
+
+
+def test_chain_with_a_nan_top_scale_fails_on_the_field():
+    # A NaN sigma_top used to surface as NaN start factors inside the chain.
+    from deepibp.inference import InferenceConfig, run_mh_layer
+
+    X = np.random.default_rng(0).standard_normal((4, 6))
+    with pytest.raises(ValueError, match="sigma_top"):
+        run_mh_layer(X, InferenceConfig(iterations=3), LayerTarget(LayerHyper(
+            alpha_ibp=3.0, ig_shape=2.0, ig_scale=1.0, sigma_top=math.nan, sigma_floor=1e-6,
+        )), rng=np.random.default_rng(1))
 
 
 def test_generative_model_shape_chaining():
@@ -165,8 +194,8 @@ def test_generative_model_shape_chaining():
     rng = np.random.default_rng(8)
     gm = GenerativeModel.from_prior(hp, 6, rng)
     # Top layer connects 3 child factors to 2 parent factors.
-    assert gm.layers[0].shape == (3, 2)
-    assert gm.layers[1].shape == (6, 3)
+    assert gm.layers[0].mask.shape == (3, 2)
+    assert gm.layers[1].mask.shape == (6, 3)
     with pytest.raises(ValueError):
         GenerativeModel(hyper=hp, layers=[gm.layers[1], gm.layers[0]])
 
@@ -229,7 +258,7 @@ def _random_state_like(rng, N=5, K=3, T=8):
     slab = rng.standard_normal((N, K)) * mask
     Y = rng.standard_normal((K, T))
     X = rng.standard_normal((N, T))
-    return ChainState(X=X, Y=Y, mask=mask, slab=slab, layer_hyper=hyper), hyper
+    return ChainState(X=X, Y=Y, mask=mask, slab=slab, target=LayerTarget(hyper)), hyper
 
 
 def test_log_joint_terms_sum_to_total():
@@ -258,7 +287,7 @@ def test_log_joint_no_factor_state_uses_floor_likelihood():
         Y=np.zeros((0, 4)),
         mask=np.zeros((3, 0), dtype=np.int8),
         slab=np.zeros((3, 0)),
-        layer_hyper=hyper,
+        target=LayerTarget(hyper),
     )
     terms = log_joint_terms(state)
     expect = float(stats.norm.logpdf(X, scale=1e-6).sum())
@@ -282,7 +311,7 @@ def test_log_joint_likelihood_scales_with_instances():
     def lik(mats):
         st = ChainState(
             X=mats[-1], Y=mats[0], mask=gm.layers[0].mask, slab=gm.layers[0].slab,
-            layer_hyper=lh,
+            target=LayerTarget(lh),
         )
         return log_joint_terms(st).log_lik
 
@@ -303,7 +332,7 @@ def test_log_joint_column_exchangeability():
         Y=state.Y[perm],
         mask=state.mask[:, perm],
         slab=state.slab[:, perm],
-        layer_hyper=state.layer_hyper,
+        target=state.target,
     )
     assert abs(log_joint(permuted) - base) < 1e-9
 
@@ -359,15 +388,6 @@ def test_student_t_logpdf_matches_scipy():
     )
 
 
-def test_sample_student_t_moments():
-    rng = np.random.default_rng(21)
-    df, scale = 8.0, 1.5
-    draws = model.sample_student_t(df, scale, rng, size=200_000)
-    var = scale * scale * df / (df - 2.0)
-    assert abs(draws.mean()) < 3.0 * math.sqrt(var / draws.size)
-    assert abs(draws.var(ddof=1) - var) < 0.05
-
-
 def test_log_poisson_k_matches_scipy():
     for k, rate in ((0, 2.0), (3, 5.5), (10, 1.0)):
         assert abs(model.log_poisson_k(k, rate) - stats.poisson.logpmf(k, rate)) < 1e-12
@@ -386,37 +406,59 @@ def test_gaussian_loglik_matches_scipy():
     assert abs(model.gaussian_loglik(X, sigma) - expect) < 1e-10
 
 
-def test_parent_context_row_coverage():
+def test_layer_target_row_coverage():
     rng = np.random.default_rng(23)
     W = rng.standard_normal((2, 3))
     Y = rng.standard_normal((3, 6))
-    ctx = ParentContext(weights=W, factors=Y)
-    lh = LayerHyper(alpha_ibp=1.0, ig_shape=2.0, ig_scale=1.0, sigma_top=1.5, sigma_floor=1e-6)
-    rows = model.factor_prior_sigma(4, 6, lh, ctx)
+    target = LayerTarget(_hyper(1.0, sigma_top=1.5), W, Y)
+    rows = target.factor_sigma(4, 6)
     assert rows.shape == (4, 6)
     np.testing.assert_allclose(rows[:2], model.propagate_sigma_matrix(W, Y, 1e-6))
     # Rows beyond the frozen width fall back to the top-layer scale.
     assert (rows[2:] == 1.5).all()
+    # Without an upper layer every row has the top-layer scale.
+    assert (LayerTarget(_hyper(1.0, sigma_top=1.5)).factor_sigma(3, 6) == 1.5).all()
 
 
-def test_parent_context_copies_its_arrays():
+def test_layer_target_copies_its_arrays():
     rng = np.random.default_rng(24)
     W = rng.standard_normal((2, 3))
     Y = rng.standard_normal((3, 6))
-    lh = LayerHyper(alpha_ibp=1.0, ig_shape=2.0, ig_scale=1.0, sigma_top=1.5, sigma_floor=1e-6)
-    ctx = ParentContext(weights=W, factors=Y)
-    before = model.factor_prior_sigma(3, 6, lh, ctx)
+    target = LayerTarget(_hyper(1.0, sigma_top=1.5), W, Y)
+    before = target.factor_sigma(3, 6)
     W[:] = 0.0
     Y[:] = 5.0
-    np.testing.assert_array_equal(model.factor_prior_sigma(3, 6, lh, ctx), before)
+    np.testing.assert_array_equal(target.factor_sigma(3, 6), before)
+    assert not target.upper_weights.flags.writeable and not target.upper_factors.flags.writeable
 
 
-def test_parent_context_validates_chaining():
+def test_layer_target_validates_chaining():
+    lh = _hyper(1.0)
     with pytest.raises(ValueError):
-        ParentContext(weights=np.zeros((2, 3)), factors=np.zeros((4, 6)))
+        LayerTarget(lh, np.zeros((2, 3)), np.zeros((4, 6)))
     # The weights are checked as the factors are.
     with pytest.raises(ValueError, match="NaN or Inf"):
-        ParentContext(weights=[[np.nan, 1.0], [0.5, np.inf]], factors=np.ones((2, 3)))
+        LayerTarget(lh, [[np.nan, 1.0], [0.5, np.inf]], np.ones((2, 3)))
+    # One array without the other.
+    with pytest.raises(ValueError, match="given together"):
+        LayerTarget(lh, upper_weights=np.ones((2, 3)))
+    with pytest.raises(ValueError, match="given together"):
+        LayerTarget(lh, upper_factors=np.ones((3, 6)))
+    with pytest.raises(TypeError, match="LayerHyper"):
+        LayerTarget(HyperParams())
+
+
+def test_layer_target_draw_is_the_weight_layer_then_its_factors():
+    rng = np.random.default_rng(25)
+    target = LayerTarget(_hyper(3.0, sigma_top=1.5), rng.standard_normal((2, 3)), rng.standard_normal((3, 7)))
+    for min_links in (0, 1, 2):
+        mask, slab, Y = target.draw(6, 4, 7, np.random.default_rng(min_links), min_links=min_links)
+        ref_rng = np.random.default_rng(min_links)
+        layer = sample_weight_layer(6, 4, target.hyper, ref_rng, min_links=min_links)
+        np.testing.assert_array_equal(mask, layer.mask)
+        np.testing.assert_array_equal(slab, layer.slab)
+        np.testing.assert_array_equal(Y, target.factor_sigma(4, 7) * ref_rng.standard_normal((4, 7)))
+        assert (mask.sum(axis=0) >= min_links).all()
 
 
 def test_as_factor_matrix_rejects_non_finite():

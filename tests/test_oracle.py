@@ -95,7 +95,7 @@ def test_freq_standard_error():
 def test_frozen_kernel_state_is_reproducible_and_consistent():
     a = oracle.frozen_kernel_state()
     b = oracle.frozen_kernel_state()
-    assert a.layer_hyper == b.layer_hyper
+    assert a.target.hyper == b.target.hyper
     np.testing.assert_array_equal(a.X, b.X)
     np.testing.assert_array_equal(a.mask, b.mask)
     a.check_consistency()

@@ -10,7 +10,12 @@ fixed-seed command set on that tree and on the working tree:
 - ``infer --depth 1, 2, 3`` on each of those datasets;
 - ``experiment`` with K_true 3 and 8, 2 replicates and 20 iterations,
   seeds 17 and 23;
-- ``validate`` (its printed report).
+- ``validate`` (its printed report);
+- ``oracle.txt``: the ``repr`` of every ``oracle.run_validation()``
+  check error and of each ``geweke_moment_zs`` z value at 2000 prior
+  draws, 400 sweeps, burn-in 40, 8 batches and seed 404, since
+  ``validate`` rounds its errors to 4 digits and no CLI file holds a
+  Geweke draw.
 
 Then it compares every output file byte for byte.  Only the
 ``wall_seconds`` timings in ``manifest.json`` may differ.  Exits 0 when
@@ -41,21 +46,31 @@ EXPERIMENT = {
 DATA_SEEDS = (3, 8)
 DEPTHS = (1, 2, 3)
 STUDY_SEEDS = (17, 23)
+ORACLE = (
+    "from deepibp import oracle\n"
+    "for check in oracle.run_validation().checks:\n"
+    "    print(f'{check.name}: {check.error!r}')\n"
+    "zs = oracle.geweke_moment_zs(n_prior=2000, n_sweeps=400, burn_in=40, batches=8, seed=404)\n"
+    "for name, z in zs.items():\n"
+    "    print(f'geweke {name}: {z!r}')\n"
+)
 
 
 def commands(configs: Path) -> list[tuple[list[str], str | None]]:
-    """Each CLI call as (arguments, file for its stdout or None), in run order."""
+    """Each Python call as (arguments, file for its stdout or None), in run order."""
     gen, study = str(configs / "generate.json"), str(configs / "experiment.json")
+    cli = ["-m", "deepibp.cli"]
     out: list[tuple[list[str], str | None]] = []
     for seed in DATA_SEEDS:
         data = f"data{seed}"
-        out.append((["generate", "--config", gen, "--out", data, "--seed", str(seed)], None))
+        out.append(([*cli, "generate", "--config", gen, "--out", data, "--seed", str(seed)], None))
         for depth in DEPTHS:
-            out.append((["infer", f"{data}/data.csv", "--config", gen, "--out", f"{data}/depth{depth}",
+            out.append(([*cli, "infer", f"{data}/data.csv", "--config", gen, "--out", f"{data}/depth{depth}",
                          "--seed", str(seed), "--depth", str(depth)], None))
     for seed in STUDY_SEEDS:
-        out.append((["experiment", "--config", study, "--out", f"study{seed}", "--seed", str(seed)], None))
-    out.append((["validate"], "validate.txt"))
+        out.append(([*cli, "experiment", "--config", study, "--out", f"study{seed}", "--seed", str(seed)], None))
+    out.append(([*cli, "validate"], "validate.txt"))
+    out.append((["-c", ORACLE], "oracle.txt"))
     return out
 
 
@@ -67,10 +82,9 @@ def run_tree(src: Path, work: Path, configs: Path) -> None:
     env["PYTHONPATH"] = str(src)
     work.mkdir(parents=True)
     for args, stdout_name in commands(configs):
-        proc = subprocess.run([sys.executable, "-m", "deepibp.cli", *args], cwd=work, env=env,
-                              capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
-            raise SystemExit(f"{src}: deepibp {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
+            raise SystemExit(f"{src}: python {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
         if stdout_name:
             (work / stdout_name).write_text(proc.stdout, encoding="utf-8")
 
