@@ -43,7 +43,7 @@ def main():
         for _ in range(40_000):
             mask = sample_weight_layer(2, k_cols, hyper, rng).mask
             mask = mask[:, mask.any(axis=0)]
-            key = left_order_form(mask).key
+            key = left_order_form(mask)
             counts[key] = counts.get(key, 0) + 1
             if key not in target:
                 target[key] = math.exp(logprob_mask_ibp(mask, alpha))

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, dataio, oracle
 from .experiment import ExperimentConfig, emit_report, run_experiment
-from .inference import ChainTrace, InferenceConfig, run_layerwise
+from .inference import InferenceConfig, run_layerwise
 from .model import GenerativeModel, HyperParams, LayerHyper, as_int, generate_dataset, log_joint
 
 __all__ = ["ConfigError", "build_parser", "load_config", "main"]
@@ -177,16 +177,11 @@ def cmd_infer(args) -> int:
     hyper = build_hyper(config)
     icfg = build_inference(config)
 
-    traces: dict[int, list[ChainTrace]] = {}
-
-    def sink(outer: int, layer: int, trace: ChainTrace) -> None:
-        traces.setdefault(layer, []).append(trace)
-
-    states = run_layerwise(X, args.depth, icfg, hyper, seed, trace_sink=sink)
+    states, traces = run_layerwise(X, args.depth, icfg, hyper, seed)
 
     out = Path(args.out)
-    for layer, parts in sorted(traces.items()):
-        dataio.write_trace_csv(out / f"trace_layer{layer + 1}.csv", ChainTrace.concatenate(parts))
+    for layer, trace in enumerate(traces):
+        dataio.write_trace_csv(out / f"trace_layer{layer + 1}.csv", trace)
     dataio.write_json(out / "state.json", {
         "kind": "inference-state",
         "version": 1,

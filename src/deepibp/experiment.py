@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dataio
 from .inference import ChainTrace, InferenceConfig, check_init_k, run_mh_layer
-from .model import GenerativeModel, HyperParams, LayerHyper, LayerTarget, as_int, generate_dataset, sample_weight_layer
+from .model import HyperParams, LayerHyper, LayerTarget, as_int, propagate_sigma_matrix
 
 __all__ = [
     "DEFAULT_INITS",
@@ -77,6 +77,8 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if not self.k_true_values:
             raise ValueError("k_true_values must be nonempty")
+        if isinstance(self.burn_in, bool):
+            raise ValueError(f"burn_in must be a real number, got {self.burn_in!r}")
         if not 0.0 <= self.burn_in < 1.0:
             raise ValueError("burn_in must lie in [0, 1)")
         if as_int(self.iterations, "iterations") < 1:
@@ -92,18 +94,6 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat an entry, got {list(values)}")
-
-    def hyper(self, k_true: int) -> HyperParams:
-        """One-layer hyperparameters of the truth with ``k_true`` factors."""
-        lh = self.layer_hyper
-        return HyperParams(
-            alpha_ibp_per_layer=lh.alpha_ibp,
-            ig_shape_per_layer=lh.ig_shape,
-            ig_scale_per_layer=lh.ig_scale,
-            sigma_top=lh.sigma_top,
-            sigma_floor=lh.sigma_floor,
-            layer_widths=(k_true,),
-        )
 
 
 @dataclass
@@ -140,24 +130,20 @@ class SummaryStats:
         raise KeyError(f"no cell ({k_true}, {init_name})")
 
 
-def make_truth(cfg: ExperimentConfig, k_true: int, rng: np.random.Generator) -> GenerativeModel:
-    """A prior draw conditioned on every factor column being well used.
-
-    A raw finite-prior draw often leaves mask columns empty or linked
-    to a single dimension, in which case the dataset would not actually
-    carry k_true recoverable factors; each column is redrawn until it
-    drives at least two observed dimensions, which needs
-    ``cfg.n_dims >= 2`` whenever ``k_true > 0``.
-    """
-    layer = sample_weight_layer(cfg.n_dims, k_true, cfg.layer_hyper, rng, min_links=2)
-    return GenerativeModel(hyper=cfg.hyper(k_true), layers=[layer])
-
-
 def make_dataset(cfg: ExperimentConfig, k_true: int) -> np.ndarray:
-    """The shared dataset for one true factor count, seeded by identity."""
+    """The shared dataset for one true factor count, seeded by identity.
+
+    The truth is a one-layer prior draw whose every factor column
+    drives at least two observed dimensions: a column that is empty or
+    linked to a single dimension would leave the dataset without k_true
+    recoverable factors.  That needs ``cfg.n_dims >= 2`` whenever
+    ``k_true > 0``.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed, int(k_true)]))
-    truth = make_truth(cfg, k_true, rng)
-    return generate_dataset(truth, cfg.n_instances, rng)[-1]
+    lh = cfg.layer_hyper
+    mask, slab, Y = LayerTarget(lh).draw(cfg.n_dims, k_true, cfg.n_instances, rng, min_links=2)
+    sigma = propagate_sigma_matrix(mask * slab, Y, lh.sigma_floor)
+    return sigma * rng.standard_normal(sigma.shape)
 
 
 def point_estimate(k_trace: np.ndarray, burn_in: float) -> float:

@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BinaryMatrix",
-    "LofClass",
     "as_binary_matrix",
-    "column_counts",
     "harmonic_number",
     "left_order_form",
     "logprob_lof_class",
@@ -46,11 +43,6 @@ def as_binary_matrix(Z: BinaryMatrix) -> np.ndarray:
     if Z.size and not np.logical_or(Z == 0, Z == 1).all():
         raise ValueError("mask entries must be 0 or 1")
     return Z.astype(np.int8, copy=False)
-
-
-def column_counts(Z: BinaryMatrix) -> np.ndarray:
-    """Number of active rows per column, as an int64 vector."""
-    return as_binary_matrix(Z).sum(axis=0, dtype=np.int64)
 
 
 def harmonic_number(n: int) -> float:
@@ -102,59 +94,24 @@ def logprob_mask_marginal_counts(m: np.ndarray, N: int, alpha: float) -> float:
     ))
 
 
-@dataclass(frozen=True, eq=False)
-class LofClass:
-    """Left-ordered canonical form of a mask.
+def left_order_form(Z: BinaryMatrix) -> tuple[tuple[int, ...], ...]:
+    """Canonicalise a mask as its left-ordered class: its sorted column histories.
 
-    ``matrix`` holds the columns sorted by decreasing binary history
-    (first row most significant); ``multiplicities`` counts how many
-    identical columns fall in each distinct-history group, in the same
-    order as they appear in ``matrix``.
-    """
-
-    matrix: np.ndarray
-    multiplicities: tuple[int, ...]
-
-    @property
-    def key(self) -> bytes:
-        """Hashable fingerprint of the class (shape plus column bits)."""
-        n, k = self.matrix.shape
-        return n.to_bytes(4, "little") + k.to_bytes(4, "little") + self.matrix.tobytes()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LofClass) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    @classmethod
-    def from_histories(cls, histories, N: int) -> "LofClass":
-        """The class whose columns are ``histories``.
-
-        ``histories`` are N-tuples already in left-ordered
-        (non-increasing) order.  No input checks.
-        """
-        matrix = np.array(histories, dtype=np.int8).T if histories else np.zeros((N, 0), dtype=np.int8)
-        mult = tuple(len(list(g)) for _, g in itertools.groupby(histories))
-        return cls(matrix=matrix, multiplicities=mult)
-
-
-def left_order_form(Z: BinaryMatrix) -> LofClass:
-    """Canonicalise a mask by sorting columns into left-ordered form.
-
-    Columns are ordered by the magnitude of their binary history (row 0
-    most significant), largest first, which is invariant under column
-    permutation of the input.
+    Each column becomes the N-tuple of its entries (its binary history,
+    row 0 most significant); the tuples are sorted largest first, which
+    is invariant under column permutation of the input.  The result is
+    hashable, and equal columns sit next to each other in it.
     """
     Z = as_binary_matrix(Z)
-    return LofClass.from_histories(sorted(map(tuple, Z.T.tolist()), reverse=True), Z.shape[0])
+    return tuple(sorted(map(tuple, Z.T.tolist()), reverse=True))
 
 
-def logprob_lof_class(lof: LofClass, alpha: float) -> float:
-    """Log-probability of a left-ordered class under the process law.
+def logprob_lof_class(histories, N: int, alpha: float) -> float:
+    """Log-probability of a left-ordered class of N-row masks under the process law.
 
-    With K+ active columns, column counts m_k, and equal-history group
-    sizes K_h,
+    ``histories`` is the class as ``left_order_form`` gives it.  With K+
+    active columns, column counts m_k, and equal-history group sizes
+    K_h,
 
     log P = K+ log(alpha) - sum_h lgamma(K_h + 1) - alpha H_N
             + sum_k [ lgamma(N - m_k + 1) + lgamma(m_k) - lgamma(N + 1) ].
@@ -164,15 +121,13 @@ def logprob_lof_class(lof: LofClass, alpha: float) -> float:
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    N, K = lof.matrix.shape
     out = -alpha * harmonic_number(N)
-    if K == 0:
+    if not histories:
         return float(out)
-    out += K * math.log(alpha)
-    out -= sum(math.lgamma(c + 1.0) for c in lof.multiplicities)
+    out += len(histories) * math.log(alpha)
+    out -= sum(math.lgamma(len(list(g)) + 1.0) for _, g in itertools.groupby(histories))
     lg_n = math.lgamma(N + 1.0)
-    m = lof.matrix.sum(axis=0, dtype=np.int64)
-    out += sum(math.lgamma(N - mk + 1.0) + math.lgamma(mk) - lg_n for mk in m.tolist())
+    out += sum(math.lgamma(N - mk + 1.0) + math.lgamma(mk) - lg_n for mk in map(sum, histories))
     return float(out)
 
 
@@ -184,9 +139,9 @@ def logprob_mask_ibp(Z: BinaryMatrix, alpha: float) -> float:
     rejected.  An empty mask is legal and has log-probability -alpha H_N.
     """
     Z = as_binary_matrix(Z)
-    if np.any(column_counts(Z) == 0):
+    if np.any(Z.sum(axis=0) == 0):
         raise ValueError("mask has an all-zero column; drop it first")
-    return logprob_lof_class(left_order_form(Z), alpha)
+    return logprob_lof_class(left_order_form(Z), Z.shape[0], alpha)
 
 
 def sample_ibp_sequential(N: int, alpha: float, rng: np.random.Generator) -> np.ndarray:

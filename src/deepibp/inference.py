@@ -117,11 +117,12 @@ class ChainTrace:
 
     @staticmethod
     def concatenate(traces: list["ChainTrace"]) -> "ChainTrace":
+        """The traces joined end to end; ``traces`` must be nonempty."""
         return ChainTrace(
-            k=np.concatenate([t.k for t in traces]) if traces else np.zeros(0, dtype=np.int64),
-            log_joint=np.concatenate([t.log_joint for t in traces]) if traces else np.zeros(0),
-            accepted_adds=np.concatenate([t.accepted_adds for t in traces]) if traces else np.zeros(0, dtype=np.int64),
-            accepted_deletes=np.concatenate([t.accepted_deletes for t in traces]) if traces else np.zeros(0, dtype=np.int64),
+            k=np.concatenate([t.k for t in traces]),
+            log_joint=np.concatenate([t.log_joint for t in traces]),
+            accepted_adds=np.concatenate([t.accepted_adds for t in traces]),
+            accepted_deletes=np.concatenate([t.accepted_deletes for t in traces]),
         )
 
 
@@ -796,8 +797,7 @@ def run_layerwise(
     cfg: InferenceConfig,
     hyper: model.HyperParams,
     seed: int,
-    trace_sink=None,
-) -> list[ChainState]:
+) -> tuple[list[ChainState], list[ChainTrace]]:
     """Greedy bottom-up inference over ``depth`` stacked layers.
 
     Runs the single-layer chain on the data, then on the inferred
@@ -812,21 +812,20 @@ def run_layerwise(
     Layer ``ell``'s target has ``hyper.layer(ell)`` and, once the layer
     above has a state, that state's slab and factors; layers above the
     configured ones reuse the top configured layer's values.
-    ``trace_sink(outer, layer, trace)``, when given, receives every
-    per-chain trace.
 
-    Returns one ChainState per layer, bottom first, each lower layer
-    rebound under the final state of the layer above.
+    Returns (states, traces): one ChainState per layer, bottom first,
+    each lower layer rebound under the final state of the layer above,
+    and per layer one ChainTrace joining its chains of every outer loop
+    in run order.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     seed = model.as_int(seed, "seed")
     if depth == 1:
         state, trace = run_mh_layer(X, cfg, LayerTarget(hyper.layer(0)), rng=np.random.default_rng(seed))
-        if trace_sink is not None:
-            trace_sink(0, 0, trace)
-        return [state]
+        return [state], [trace]
     states: list[ChainState | None] = [None] * depth
+    traces: list[list[ChainTrace]] = [[] for _ in range(depth)]
 
     def target(ell: int) -> LayerTarget:
         lh = hyper.layer(min(ell, hyper.num_layers - 1))
@@ -845,12 +844,11 @@ def run_layerwise(
                 rng=np.random.default_rng(np.random.SeedSequence([seed, outer, ell])),
                 initial_state=warm,
             )
-            if trace_sink is not None:
-                trace_sink(outer, ell, trace)
+            traces[ell].append(trace)
         total = _layerwise_total(states)
         if outer > 0 and total - prev_total < _CONVERGENCE_TOL:
             break
         prev_total = total
     for ell in range(depth - 1):
         states[ell].rebind(states[ell].X, target(ell))
-    return states
+    return states, [ChainTrace.concatenate(parts) for parts in traces]

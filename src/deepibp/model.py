@@ -70,10 +70,10 @@ def as_int(value, name: str) -> int:
 
 
 def _as_layer_tuple(value, num_layers: int, name: str) -> tuple[float, ...]:
-    if np.isscalar(value):
-        out = (float(value),) * num_layers
-    else:
-        out = tuple(float(v) for v in value)
+    raw = (value,) * num_layers if np.isscalar(value) else tuple(value)
+    if any(isinstance(v, bool) for v in raw):
+        raise ValueError(f"{name} entries must be real numbers, got {value!r}")
+    out = tuple(float(v) for v in raw)
     if len(out) != num_layers:
         raise ValueError(f"{name} must have one entry per layer ({num_layers}), got {len(out)}")
     if not all(0.0 < v < math.inf for v in out):
@@ -85,9 +85,9 @@ def _as_layer_tuple(value, num_layers: int, name: str) -> tuple[float, ...]:
 class LayerHyper:
     """Flattened hyperparameters for a single layer's inference or sampling.
 
-    Every value must be finite and strictly positive, and ``sigma_floor``
-    must not exceed ``sigma_top``; a ValueError names the first field
-    that is not.
+    Every value must be a finite, strictly positive real number (a bool
+    is not one), and ``sigma_floor`` must not exceed ``sigma_top``; a
+    ValueError names the first field that is not.
     """
 
     alpha_ibp: float
@@ -98,7 +98,10 @@ class LayerHyper:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if not 0.0 < getattr(self, f.name) < math.inf:
+            value = getattr(self, f.name)
+            if isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"{f.name} must be finite and strictly positive")
         if self.sigma_floor > self.sigma_top:
             raise ValueError("sigma_floor must not exceed sigma_top")
@@ -258,7 +261,7 @@ def _prior_columns(
 def _conditioned_columns(
     n_rows: int, n_cols: int, hyper: LayerHyper, rng: np.random.Generator, min_links: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The checks and draws of ``sample_weight_layer``, as (mask, slab) arrays."""
+    """(mask, slab) of ``n_cols`` prior columns each linking ``min_links`` rows; see ``LayerTarget.draw``."""
     if n_rows < 0 or n_cols < 0:
         raise ValueError("matrix dimensions must be >= 0")
     if n_cols > 0 and min_links > n_rows:
@@ -273,21 +276,15 @@ def _conditioned_columns(
     return mask, slab
 
 
-def sample_weight_layer(
-    n_rows: int, n_cols: int, hyper: LayerHyper, rng: np.random.Generator, min_links: int = 0
-) -> WeightLayer:
-    """Draw a weight layer from the finite prior under ``hyper``, each
-    column conditioned on linking at least ``min_links`` rows.
+def sample_weight_layer(n_rows: int, n_cols: int, hyper: LayerHyper, rng: np.random.Generator) -> WeightLayer:
+    """Draw a weight layer from the finite prior under ``hyper``.
 
     Per column: p ~ Beta(alpha_ibp / n_cols, 1) via inverse CDF,
     sigma^2 ~ InverseGamma(ig_shape, ig_scale), mask entries
     Bernoulli(p), slab entries N(0, sigma^2).  The slab is drawn for
     every entry, masked or not; the effective weight is mask * slab.
-    Columns are independent under the finite prior, so redrawing only
-    the columns with fewer than ``min_links`` links, until none is
-    left, draws from the conditioned prior law.
     """
-    mask, slab = _conditioned_columns(n_rows, n_cols, hyper, rng, min_links)
+    mask, slab = _conditioned_columns(n_rows, n_cols, hyper, rng, 0)
     return WeightLayer(mask=mask, slab=slab)
 
 
@@ -369,7 +366,10 @@ class LayerTarget:
         """(mask, slab, Y) of one prior draw of an ``n_rows`` x ``n_cols`` layer over T instances.
 
         The mask and slab are ``sample_weight_layer``'s draws, each
-        column linking at least ``min_links`` rows; the (n_cols, T)
+        column conditioned on linking at least ``min_links`` rows.
+        Columns are independent under the finite prior, so redrawing
+        only the columns with fewer than ``min_links`` links, until none
+        is left, draws from the conditioned prior law.  The (n_cols, T)
         factors are then drawn with the stds of ``factor_sigma``.
         """
         mask, slab = _conditioned_columns(n_rows, n_cols, self.hyper, rng, min_links)

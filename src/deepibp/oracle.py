@@ -8,6 +8,7 @@ CLI subcommand.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -160,11 +161,12 @@ def marginal_weight_quadrature(
 
 
 def mc_lof_histogram(sampler, N: int, alpha: float, num_draws: int,
-                     rng: np.random.Generator) -> dict[ibp.LofClass, float]:
+                     rng: np.random.Generator) -> dict[tuple, float]:
     """Empirical distribution over left-ordered classes from a sampler.
 
     ``sampler(N, alpha, rng)`` must return a binary mask with no
-    all-zero columns.  Restricted to N <= 3 so the class space stays
+    all-zero columns.  Classes are keyed as ``ibp.left_order_form``
+    gives them.  Restricted to N <= 3 so the class space stays
     enumerable by the comparisons this feeds.
     """
     if N > 3:
@@ -172,17 +174,14 @@ def mc_lof_histogram(sampler, N: int, alpha: float, num_draws: int,
     if num_draws < 0:
         raise ValueError("num_draws must be >= 0")
     # Draws are counted by their sorted column histories; each distinct
-    # class is then built, and checked binary, once.
+    # class is then checked binary once.
     counts: dict[tuple, int] = {}
     for _ in range(num_draws):
         key = tuple(sorted(map(tuple, sampler(N, alpha, rng).T.tolist()), reverse=True))
         counts[key] = counts.get(key, 0) + 1
-    out = {}
-    for key, c in counts.items():
-        cls = ibp.LofClass.from_histories(key, N)
-        ibp.as_binary_matrix(cls.matrix)
-        out[cls] = c / num_draws
-    return out
+    for key in counts:
+        ibp.as_binary_matrix(np.reshape(key, (-1, N)).T)
+    return {key: c / num_draws for key, c in counts.items()}
 
 
 def freq_standard_error(p: float, num_draws: int) -> float:
@@ -190,26 +189,23 @@ def freq_standard_error(p: float, num_draws: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / num_draws)
 
 
-def lof_class_probabilities(N: int, alpha: float, max_k: int) -> Iterator[tuple[ibp.LofClass, float]]:
+def lof_class_probabilities(N: int, alpha: float, max_k: int) -> Iterator[tuple[tuple, float]]:
     """Yield each left-ordered class with K <= max_k and its process-law probability.
 
     Classes are multisets of nonzero column histories.  Drawn in
-    non-increasing order, each multiset is already left-ordered, so it
-    is built as its class directly and priced by the process law.
-    Classes come by K, then in that order within K; each is yielded as
-    it is built, so a caller keeps only the classes it needs (N=3,
-    max_k=8 gives 6,435 of them).
+    non-increasing order, each multiset is already its class in the
+    form ``ibp.left_order_form`` gives, and is priced by the process
+    law.  Classes come by K, then in that order within K; each is
+    yielded as it is drawn, so a caller keeps only the classes it needs
+    (N=3, max_k=8 gives 6,435 of them).
     """
-    import itertools
-
     histories = []
     for h in range(1, 2 ** N):
         histories.append(tuple((h >> (N - 1 - n)) & 1 for n in range(N)))
     histories.sort(reverse=True)
     for k in range(max_k + 1):
         for combo in itertools.combinations_with_replacement(histories, k):
-            cls = ibp.LofClass.from_histories(combo, N)
-            yield cls, math.exp(ibp.logprob_lof_class(cls, alpha))
+            yield combo, math.exp(ibp.logprob_lof_class(combo, N, alpha))
 
 
 # -- frozen kernel state and total-variation checks -----------------------
@@ -657,13 +653,13 @@ def _check_ibp_finite_limit() -> ValidationCheck:
         log_count = (
             math.lgamma(K + 1.0)
             - math.lgamma(K - K_plus + 1.0)
-            - sum(math.lgamma(c + 1.0) for c in lof.multiplicities)
+            - sum(math.lgamma(len(list(g)) + 1.0) for _, g in itertools.groupby(lof))
         )
         # Each call's alpha is scaled so that its own a is alpha / K.
         linked = ibp.logprob_mask_marginal_counts(Z.sum(axis=0), N, alpha * K_plus / K)
         empty = ibp.logprob_mask_marginal_counts(np.zeros(1, dtype=np.int64), N, alpha / K)
         finite = log_count + linked + (K - K_plus) * empty
-        process = ibp.logprob_lof_class(lof, alpha)
+        process = ibp.logprob_lof_class(lof, N, alpha)
         err = max(err, abs(math.exp(finite) - math.exp(process)))
     return ValidationCheck("process law is the finite-mask limit", err, 1e-4)
 

@@ -243,6 +243,26 @@ def test_non_finite_hyperparameter_exits_2(tmp_path, capsys, command, key, value
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("generate", "model", "sigma_top", True),
+    ("generate", "model", "alpha_ibp_per_layer", True),
+    ("infer", "model", "ig_scale_per_layer", [True]),
+    ("experiment", "experiment", "burn_in", False),
+])
+def test_boolean_real_value_exits_2(tmp_path, capsys, command, section, key, value):
+    # JSON true is no real number, although Python's bool compares as one.
+    cfg = _write_config(tmp_path, {section: {key: value}})
+    args = [command, "--config", cfg, "--out", str(tmp_path / "x"), "--seed", "3"]
+    if command == "infer":
+        args.insert(1, _generated_data(tmp_path))
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad '{section}' section: {key} ")
+    assert "real number" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     data = _generated_data(tmp_path)
     cfg = _write_config(tmp_path, {"inference": {"iterations": -3}}, name="neg.json")

@@ -13,7 +13,6 @@ from deepibp.experiment import (
     emit_report,
     init_name,
     make_dataset,
-    make_truth,
     point_estimate,
     run_experiment,
     run_trial,
@@ -21,7 +20,7 @@ from deepibp.experiment import (
     trace_filename,
 )
 from deepibp.inference import ChainTrace
-from deepibp.model import HyperParams, LayerHyper
+from deepibp.model import HyperParams, LayerTarget, propagate_sigma_matrix
 
 
 def _tiny_cfg(**overrides):
@@ -96,7 +95,7 @@ def test_experiment_config_validation():
             _tiny_cfg(**{key: bad})
     for key, bad in (("replicates", 1.5), ("iterations", 2.0), ("n_dims", 6.5),
                      ("n_instances", "12"), ("k_true_values", (2.7,)), ("replicates", True),
-                     ("k_true_values", (True,))):
+                     ("k_true_values", (True,)), ("burn_in", False)):
         with pytest.raises(ValueError, match=key):
             _tiny_cfg(**{key: bad})
     # Repeats, which would rerun the same seeded chains under one label;
@@ -108,38 +107,32 @@ def test_experiment_config_validation():
 
 def test_experiment_config_hyper():
     assert ExperimentConfig().layer_hyper == HyperParams().layer(0)
-    lh = LayerHyper(alpha_ibp=2.5, ig_shape=3.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-6)
-    hyper = _tiny_cfg(layer_hyper=lh).hyper(5)
-    assert hyper.layer_widths == (5,)
-    layer = hyper.layer(0)
-    assert layer.alpha_ibp == 2.5
-    assert layer.ig_shape == 3.0
-    assert layer == lh
 
 
 # -- data generation ---------------------------------------------------------
 
-def test_make_truth_columns_well_used():
+def test_make_dataset_truth_columns_well_used():
+    # The truth is one conditioned target draw, its data routed through it.
     cfg = _tiny_cfg()
-    rng = np.random.default_rng(0)
     for k_true in (2, 3, 4):
-        truth = make_truth(cfg, k_true, rng)
-        counts = truth.layers[-1].mask.sum(axis=0)
-        assert counts.shape == (k_true,)
-        assert (counts >= 2).all()
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed, k_true]))
+        mask, slab, Y = LayerTarget(cfg.layer_hyper).draw(cfg.n_dims, k_true, cfg.n_instances, rng, min_links=2)
+        assert mask.shape == (cfg.n_dims, k_true)
+        assert (mask.sum(axis=0) >= 2).all()
+        sigma = propagate_sigma_matrix(mask * slab, Y, cfg.layer_hyper.sigma_floor)
+        np.testing.assert_array_equal(make_dataset(cfg, k_true), sigma * rng.standard_normal(sigma.shape))
 
 
-def test_make_truth_rejects_unlinkable_columns():
+def test_make_dataset_rejects_unlinkable_columns():
     # One dimension cannot give any column two links; the redraw loop
     # would never end, so the draw must refuse.  The alarm turns a
     # hang into a failure.
-    rng = np.random.default_rng(0)
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.alarm(30)
     try:
         with pytest.raises(ValueError, match="cannot each link 2 of 1 rows"):
-            make_truth(_tiny_cfg(n_dims=1), 2, rng)
-        assert make_truth(_tiny_cfg(n_dims=1), 0, rng).layers[-1].mask.shape == (1, 0)
+            make_dataset(_tiny_cfg(n_dims=1), 2)
+        assert make_dataset(_tiny_cfg(n_dims=1), 0).shape == (1, 12)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -218,8 +218,8 @@ def test_chain_trace_concatenate():
     )
     cat = ChainTrace.concatenate([t1, t2])
     np.testing.assert_array_equal(cat.k, [1, 2, 3])
+    np.testing.assert_array_equal(cat.accepted_deletes, [0, 0, 1])
     assert len(cat) == 3
-    assert len(ChainTrace.concatenate([])) == 0
 
 
 # -- dimension moves ---------------------------------------------------------
@@ -636,11 +636,11 @@ def test_run_layerwise_depth_one_equals_single_layer():
     X = rng.standard_normal((5, 12))
     cfg = InferenceConfig(iterations=8, init_k=2)
     hyper = HyperParams(layer_widths=(3,))
-    collected = []
-    states = run_layerwise(X, 1, cfg, hyper, 11, trace_sink=lambda o, l, t: collected.append((o, l, t)))
+    states, traces = run_layerwise(X, 1, cfg, hyper, 11)
     direct_state, direct_trace = run_mh_layer(X, cfg, LayerTarget(hyper.layer(0)), rng=np.random.default_rng(11))
-    assert len(states) == 1
-    np.testing.assert_array_equal(collected[0][2].k, direct_trace.k)
+    assert len(states) == len(traces) == 1
+    np.testing.assert_array_equal(traces[0].k, direct_trace.k)
+    np.testing.assert_array_equal(traces[0].log_joint, direct_trace.log_joint)
     np.testing.assert_array_equal(states[0].mask, direct_state.mask)
 
 
@@ -650,14 +650,15 @@ def test_run_layerwise_two_layers_smoke():
     truth = model.GenerativeModel.from_prior(hyper, 8, rng)
     X = model.generate_dataset(truth, 40, rng)[-1]
     cfg = InferenceConfig(iterations=6, init_k=2, layerwise_outer_loops=2)
-    seen = []
-    states = run_layerwise(X, 2, cfg, hyper, 13, trace_sink=lambda o, l, t: seen.append((o, l)))
+    states, traces = run_layerwise(X, 2, cfg, hyper, 13)
     assert len(states) == 2
     for st in states:
         st.check_consistency()
     # The upper chain runs on the lower chain's factors.
     assert states[1].X.shape[0] == states[0].K
-    assert {layer for _, layer in seen} == {0, 1}
+    # Each layer's trace joins its chains of both outer loops.
+    assert [len(t) for t in traces] == [12, 12]
+    assert [t.k[-1] for t in traces] == [st.K for st in states]
     with pytest.raises(ValueError):
         run_layerwise(X, 0, cfg, hyper, 13)
 
@@ -681,8 +682,9 @@ def test_run_layerwise_survives_lower_layer_reaching_k_zero():
     truth = model.GenerativeModel.from_prior(hyper, 12, rng)
     X = model.generate_dataset(truth, 60, rng)[-1]
     cfg = InferenceConfig(iterations=10, init_k=4, layerwise_outer_loops=3)
-    states = run_layerwise(X, 2, cfg, hyper, 4)
+    states, traces = run_layerwise(X, 2, cfg, hyper, 4)
     assert [st.K for st in states] == [0, 0]
+    assert [t.k[-1] for t in traces] == [0, 0]
     for st in states:
         assert math.isfinite(model.log_joint(st))
         st.check_consistency()
@@ -693,8 +695,8 @@ def test_run_layerwise_pads_hyper_to_depth():
     X = rng.standard_normal((6, 15))
     cfg = InferenceConfig(iterations=4, init_k=2, layerwise_outer_loops=1)
     hyper = HyperParams(layer_widths=(3,))
-    states = run_layerwise(X, 2, cfg, hyper, 3)
-    assert len(states) == 2
+    states, traces = run_layerwise(X, 2, cfg, hyper, 3)
+    assert len(states) == len(traces) == 2
     assert [st.target.hyper for st in states] == [hyper.layer(0)] * 2
     # Two configured layers at depth 3: the third reuses the second's values.
     hyper = HyperParams(
@@ -702,7 +704,7 @@ def test_run_layerwise_pads_hyper_to_depth():
         ig_scale_per_layer=(1.0, 0.5), layer_widths=(3, 2),
     )
     cfg = InferenceConfig(iterations=3, init_k=3, layerwise_outer_loops=1)
-    states = run_layerwise(X, 3, cfg, hyper, 4)
+    states, _ = run_layerwise(X, 3, cfg, hyper, 4)
     assert [st.target.hyper for st in states] == [hyper.layer(0), hyper.layer(1), hyper.layer(1)]
     assert states[2].target.hyper == LayerHyper(
         alpha_ibp=1.5, ig_shape=3.0, ig_scale=0.5, sigma_top=1.0, sigma_floor=1e-6

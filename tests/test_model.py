@@ -98,36 +98,6 @@ def test_sample_weight_layer_zero_columns():
     assert layer.mask.shape == (4, 0)
 
 
-def test_sample_weight_layer_min_links_draws_the_conditioned_law():
-    # Columns are independent under the finite prior: one links c of n
-    # rows with probability C(n, c) times its one-column mask marginal.
-    # Conditioned on c >= 2 that law is renormalised over c >= 2, and
-    # each link count's frequency must sit within a z bound of it.  At
-    # a = 3 / 20 (K_true 20 over 16 dimensions) most raw columns are short.
-    n, k, a = 16, 40_000, 3.0 / 20
-    layer = sample_weight_layer(n, k, _hyper(a * k), np.random.default_rng(13), min_links=2)
-    observed = np.bincount(layer.mask.sum(axis=0), minlength=n + 1)
-    raw = np.array([
-        math.comb(n, c) * math.exp(ibp.logprob_mask_marginal_counts(np.array([c]), n, a))
-        for c in range(n + 1)
-    ])
-    assert raw.sum() == pytest.approx(1.0, rel=1e-12)
-    assert raw[0] + raw[1] > 0.5
-    law = np.where(np.arange(n + 1) >= 2, raw, 0.0) / raw[2:].sum()
-    assert observed[:2].sum() == 0
-    z = (observed[2:] - k * law[2:]) / np.sqrt(k * law[2:] * (1.0 - law[2:]))
-    assert np.abs(z).max() < 4.0, z
-
-
-def test_sample_weight_layer_refuses_an_undrawable_condition():
-    rng = np.random.default_rng(14)
-    with pytest.raises(ValueError, match="3 columns cannot each link 2 of 1 rows"):
-        sample_weight_layer(1, 3, _hyper(3.0), rng, min_links=2)
-    # No column to condition, or a column that must link every row.
-    assert sample_weight_layer(1, 0, _hyper(3.0), rng, min_links=2).mask.shape == (1, 0)
-    assert (sample_weight_layer(3, 4, _hyper(3.0), rng, min_links=3).mask == 1).all()
-
-
 def test_weight_layer_validates_shapes():
     with pytest.raises(ValueError):
         WeightLayer(mask=np.zeros((2, 2), dtype=np.int8), slab=np.zeros((2, 3)))
@@ -164,11 +134,13 @@ def test_hyper_params_validation():
 
 
 @pytest.mark.parametrize("name", ["alpha_ibp", "ig_shape", "ig_scale", "sigma_top", "sigma_floor"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, True])
 def test_layer_hyper_rejects_each_bad_value_by_name(name, bad):
     values = dict(alpha_ibp=2.0, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-6)
     values[name] = bad
-    with pytest.raises(ValueError, match=f"^{name} must be finite and strictly positive"):
+    # A bool is no real number, though True compares as 1.
+    problem = "a real number, got True" if bad is True else "finite and strictly positive"
+    with pytest.raises(ValueError, match=f"^{name} must be {problem}"):
         LayerHyper(**values)
 
 
@@ -448,15 +420,52 @@ def test_layer_target_validates_chaining():
         LayerTarget(HyperParams())
 
 
+def test_layer_target_draw_min_links_draws_the_conditioned_law():
+    # Columns are independent under the finite prior: one links c of n
+    # rows with probability C(n, c) times its one-column mask marginal.
+    # Conditioned on c >= 2 that law is renormalised over c >= 2, and
+    # each link count's frequency must sit within a z bound of it.  At
+    # a = 3 / 20 (K_true 20 over 16 dimensions) most raw columns are short.
+    n, k, a = 16, 40_000, 3.0 / 20
+    mask, _, _ = LayerTarget(_hyper(a * k)).draw(n, k, 0, np.random.default_rng(13), min_links=2)
+    observed = np.bincount(mask.sum(axis=0), minlength=n + 1)
+    raw = np.array([
+        math.comb(n, c) * math.exp(ibp.logprob_mask_marginal_counts(np.array([c]), n, a))
+        for c in range(n + 1)
+    ])
+    assert raw.sum() == pytest.approx(1.0, rel=1e-12)
+    assert raw[0] + raw[1] > 0.5
+    law = np.where(np.arange(n + 1) >= 2, raw, 0.0) / raw[2:].sum()
+    assert observed[:2].sum() == 0
+    z = (observed[2:] - k * law[2:]) / np.sqrt(k * law[2:] * (1.0 - law[2:]))
+    assert np.abs(z).max() < 4.0, z
+
+
+def test_layer_target_draw_refuses_an_undrawable_condition():
+    rng = np.random.default_rng(14)
+    target = LayerTarget(_hyper(3.0))
+    with pytest.raises(ValueError, match="3 columns cannot each link 2 of 1 rows"):
+        target.draw(1, 3, 0, rng, min_links=2)
+    # No column to condition, or a column that must link every row.
+    assert target.draw(1, 0, 0, rng, min_links=2)[0].shape == (1, 0)
+    assert (target.draw(3, 4, 0, rng, min_links=3)[0] == 1).all()
+
+
 def test_layer_target_draw_is_the_weight_layer_then_its_factors():
     rng = np.random.default_rng(25)
     target = LayerTarget(_hyper(3.0, sigma_top=1.5), rng.standard_normal((2, 3)), rng.standard_normal((3, 7)))
+    # Unconditioned, the columns are the prior weight layer's.
+    mask, slab, _ = target.draw(6, 4, 7, np.random.default_rng(0))
+    layer = sample_weight_layer(6, 4, target.hyper, np.random.default_rng(0))
+    np.testing.assert_array_equal(mask, layer.mask)
+    np.testing.assert_array_equal(slab, layer.slab)
+    # The factors are drawn after the columns and all their redraws.
     for min_links in (0, 1, 2):
         mask, slab, Y = target.draw(6, 4, 7, np.random.default_rng(min_links), min_links=min_links)
         ref_rng = np.random.default_rng(min_links)
-        layer = sample_weight_layer(6, 4, target.hyper, ref_rng, min_links=min_links)
-        np.testing.assert_array_equal(mask, layer.mask)
-        np.testing.assert_array_equal(slab, layer.slab)
+        ref_mask, ref_slab, _ = LayerTarget(target.hyper).draw(6, 4, 0, ref_rng, min_links=min_links)
+        np.testing.assert_array_equal(mask, ref_mask)
+        np.testing.assert_array_equal(slab, ref_slab)
         np.testing.assert_array_equal(Y, target.factor_sigma(4, 7) * ref_rng.standard_normal((4, 7)))
         assert (mask.sum(axis=0) >= min_links).all()
 

@@ -81,9 +81,9 @@ def test_lof_class_probabilities_sum_near_one():
 
 def test_lof_class_probabilities_match_process_law():
     for cls, p in lof_class_probabilities(2, 1.5, max_k=3):
-        if cls.matrix.shape[1] == 0:
+        if not cls:
             continue
-        direct = math.exp(ibp.logprob_mask_ibp(cls.matrix, 1.5))
+        direct = math.exp(ibp.logprob_mask_ibp(np.array(cls).T, 1.5))
         assert abs(p - direct) < 1e-12
 
 

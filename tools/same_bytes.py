@@ -15,7 +15,10 @@ fixed-seed command set on that tree and on the working tree:
   check error and of each ``geweke_moment_zs`` z value at 2000 prior
   draws, 400 sweeps, burn-in 40, 8 batches and seed 404, since
   ``validate`` rounds its errors to 4 digits and no CLI file holds a
-  Geweke draw.
+  Geweke draw;
+- the printed output of each fixed-seed demo in ``demos/`` that prints
+  no timings (``recovery_study_mini`` prints wall times).  Each tree
+  runs its own copy of the demos.
 
 Then it compares every output file byte for byte.  Only the
 ``wall_seconds`` timings in ``manifest.json`` may differ.  Exits 0 when
@@ -46,6 +49,7 @@ EXPERIMENT = {
 DATA_SEEDS = (3, 8)
 DEPTHS = (1, 2, 3)
 STUDY_SEEDS = (17, 23)
+DEMOS = ("generate_and_inspect", "mask_prior_checks", "single_layer_inference")
 ORACLE = (
     "from deepibp import oracle\n"
     "for check in oracle.run_validation().checks:\n"
@@ -56,8 +60,11 @@ ORACLE = (
 )
 
 
-def commands(configs: Path) -> list[tuple[list[str], str | None]]:
-    """Each Python call as (arguments, file for its stdout or None), in run order."""
+def commands(configs: Path, demos: Path) -> list[tuple[list[str], str | None]]:
+    """Each Python call as (arguments, file for its stdout or None), in run order.
+
+    ``demos`` is the demo directory of the tree being run.
+    """
     gen, study = str(configs / "generate.json"), str(configs / "experiment.json")
     cli = ["-m", "deepibp.cli"]
     out: list[tuple[list[str], str | None]] = []
@@ -71,17 +78,19 @@ def commands(configs: Path) -> list[tuple[list[str], str | None]]:
         out.append(([*cli, "experiment", "--config", study, "--out", f"study{seed}", "--seed", str(seed)], None))
     out.append(([*cli, "validate"], "validate.txt"))
     out.append((["-c", ORACLE], "oracle.txt"))
+    for name in DEMOS:
+        out.append(([str(demos / f"{name}.py")], f"{name}.txt"))
     return out
 
 
 def run_tree(src: Path, work: Path, configs: Path) -> None:
-    """Run every command with ``src`` on the path, writing under ``work``."""
+    """Run every command with ``src`` on the path, and the demos beside it, writing under ``work``."""
     env = dict(os.environ)
     env.update({var: "1" for var in THREAD_VARS})
     env["PYTHONHASHSEED"] = "0"
     env["PYTHONPATH"] = str(src)
     work.mkdir(parents=True)
-    for args, stdout_name in commands(configs):
+    for args, stdout_name in commands(configs, src.parent / "demos"):
         proc = subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             raise SystemExit(f"{src}: python {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
