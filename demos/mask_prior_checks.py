@@ -18,7 +18,7 @@ from deepibp.ibp import (
     logprob_mask_marginal,
     sample_ibp_sequential,
 )
-from deepibp.model import LayerHyper, sample_weight_layer
+from deepibp.model import LayerHyper, LayerTarget
 from deepibp.oracle import enumerate_masks
 
 
@@ -36,12 +36,12 @@ def main():
     # columns, converge to the process law as K grows.  The slab
     # hyperparameters do not affect the mask.
     print("\nfinite-K to process convergence (N=2, 40000 draws each):")
-    hyper = LayerHyper(alpha_ibp=alpha, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-6)
+    prior = LayerTarget(LayerHyper(alpha_ibp=alpha, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-6))
     target = {}
     for k_cols in (4, 16, 64):
         counts = {}
         for _ in range(40_000):
-            mask = sample_weight_layer(2, k_cols, hyper, rng).mask
+            mask = prior.draw(2, k_cols, 0, rng)[0]
             mask = mask[:, mask.any(axis=0)]
             key = left_order_form(mask)
             counts[key] = counts.get(key, 0) + 1

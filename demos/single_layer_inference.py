@@ -11,24 +11,21 @@ the data better.
 import numpy as np
 
 from deepibp.inference import InferenceConfig, run_mh_layer
-from deepibp.model import GenerativeModel, HyperParams, LayerTarget, generate_dataset
+from deepibp.model import HyperParams, LayerTarget, draw_routed
 
 
 def main():
     rng = np.random.default_rng(12)
     k_true = 4
     hyper = HyperParams(layer_widths=(k_true,))
+    target = LayerTarget(hyper.layer(0))
     # Condition the planted draw on every factor driving at least three
     # dimensions so the dataset really carries four recoverable factors.
-    while True:
-        truth = GenerativeModel.from_prior(hyper, n_dims=16, rng=rng)
-        if (truth.layers[0].mask.sum(axis=0) >= 3).all():
-            break
-    X = generate_dataset(truth, T=200, rng=rng)[-1]
+    mask, slab, Y = target.draw(16, k_true, 200, rng, min_links=3)
+    X = draw_routed(mask * slab, Y, hyper.sigma_floor, rng)
     print(f"planted factors: {k_true}, column link counts "
-          f"{truth.layers[0].mask.sum(axis=0).tolist()}, data {X.shape[0]}x{X.shape[1]}")
+          f"{mask.sum(axis=0).tolist()}, data {X.shape[0]}x{X.shape[1]}")
 
-    target = LayerTarget(hyper.layer(0))
     for init_k in (2, 10):
         cfg = InferenceConfig(iterations=200, init_k=init_k)
         state, trace = run_mh_layer(X, cfg, target, rng=np.random.default_rng(0))

@@ -22,16 +22,14 @@ from .ibp import (
     sample_ibp_sequential,
 )
 from .model import (
-    GenerativeModel,
     HyperParams,
     JointTerms,
     LayerHyper,
     LayerTarget,
-    WeightLayer,
-    generate_dataset,
+    draw_routed,
+    draw_stack,
     log_joint,
     log_joint_terms,
-    sample_weight_layer,
 )
 from .inference import (
     ChainState,
@@ -60,7 +58,6 @@ __all__ = [
     "ChainState",
     "ChainTrace",
     "ExperimentConfig",
-    "GenerativeModel",
     "HyperParams",
     "InferenceConfig",
     "JointTerms",
@@ -70,10 +67,10 @@ __all__ = [
     "SummaryStats",
     "TrialResult",
     "ValidationReport",
-    "WeightLayer",
     "__version__",
+    "draw_routed",
+    "draw_stack",
     "emit_report",
-    "generate_dataset",
     "gibbs_sweep",
     "harmonic_number",
     "left_order_form",
@@ -88,6 +85,5 @@ __all__ = [
     "run_mh_layer",
     "run_validation",
     "sample_ibp_sequential",
-    "sample_weight_layer",
     "summarize",
 ]

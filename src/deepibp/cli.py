@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__, dataio, oracle
 from .experiment import ExperimentConfig, emit_report, run_experiment
 from .inference import InferenceConfig, run_layerwise
-from .model import GenerativeModel, HyperParams, LayerHyper, as_int, generate_dataset, log_joint
+from .model import HyperParams, LayerHyper, as_int, draw_stack, log_joint
 
 __all__ = ["ConfigError", "build_parser", "load_config", "main"]
 
@@ -137,23 +137,21 @@ def cmd_generate(args) -> int:
         {"experiment": {k: section[k] for k in ("n_dims", "n_instances") if k in section}}, seed, hyper.layer(0)
     )
     rng = np.random.default_rng(seed)
-    truth = GenerativeModel.from_prior(hyper, dims.n_dims, rng)
-    matrices = generate_dataset(truth, dims.n_instances, rng)
-    X = matrices[-1]
+    weights, values = draw_stack(hyper, dims.n_dims, dims.n_instances, rng)
+    X = values[0]
 
     out = Path(args.out)
     dataio.write_dataset_csv(out / "data.csv", X)
-    L = hyper.num_layers
-    layers = []
-    for level in range(1, L + 1):
-        layer = truth.layers[L - level]
-        layers.append({
+    layers = [
+        {
             "level": level,
-            "k_true": layer.mask.shape[1],
-            "mask_rows": dataio.mask_to_rows(layer.mask),
-            "slab": layer.slab,
-            "factors": matrices[L - level],
-        })
+            "k_true": mask.shape[1],
+            "mask_rows": dataio.mask_to_rows(mask),
+            "slab": slab,
+            "factors": values[level],
+        }
+        for level, (mask, slab) in enumerate(weights, start=1)
+    ]
     dataio.write_json(out / "truth.json", {
         "kind": "synthetic-dataset",
         "version": 1,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dataio
 from .inference import ChainTrace, InferenceConfig, check_init_k, run_mh_layer
-from .model import HyperParams, LayerHyper, LayerTarget, as_int, propagate_sigma_matrix
+from .model import HyperParams, LayerHyper, LayerTarget, as_int, as_real, draw_routed
 
 __all__ = [
     "DEFAULT_INITS",
@@ -77,9 +77,7 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if not self.k_true_values:
             raise ValueError("k_true_values must be nonempty")
-        if isinstance(self.burn_in, bool):
-            raise ValueError(f"burn_in must be a real number, got {self.burn_in!r}")
-        if not 0.0 <= self.burn_in < 1.0:
+        if not 0.0 <= as_real(self.burn_in, "burn_in") < 1.0:
             raise ValueError("burn_in must lie in [0, 1)")
         if as_int(self.iterations, "iterations") < 1:
             raise ValueError("iterations must be >= 1")
@@ -142,8 +140,7 @@ def make_dataset(cfg: ExperimentConfig, k_true: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed, int(k_true)]))
     lh = cfg.layer_hyper
     mask, slab, Y = LayerTarget(lh).draw(cfg.n_dims, k_true, cfg.n_instances, rng, min_links=2)
-    sigma = propagate_sigma_matrix(mask * slab, Y, lh.sigma_floor)
-    return sigma * rng.standard_normal(sigma.shape)
+    return draw_routed(mask * slab, Y, lh.sigma_floor, rng)
 
 
 def point_estimate(k_trace: np.ndarray, burn_in: float) -> float:

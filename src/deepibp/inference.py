@@ -732,8 +732,7 @@ def gibbs_sweep(state: ChainState, rng: np.random.Generator) -> None:
 
 def resample_data(state: ChainState, rng: np.random.Generator) -> None:
     """Redraw the data matrix from the current weights and factors; the state is not priced."""
-    sigma = np.maximum(np.abs(state.S), state.target.hyper.sigma_floor)
-    state.X = sigma * rng.standard_normal(state.X.shape)
+    state.X = model.draw_routed(state.slab, state.Y, state.target.hyper.sigma_floor, rng)
 
 
 def run_mh_layer(

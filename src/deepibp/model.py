@@ -16,30 +16,30 @@ prior on the number of factors; each term is exposed separately.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ibp import as_binary_matrix, harmonic_number, logprob_mask_marginal
+from .ibp import harmonic_number, logprob_mask_marginal
 
 __all__ = [
     "FactorMatrix",
-    "GenerativeModel",
     "HyperParams",
     "JointTerms",
     "LayerHyper",
     "LayerTarget",
-    "WeightLayer",
     "as_factor_matrix",
     "as_int",
+    "as_real",
+    "draw_routed",
+    "draw_stack",
     "gaussian_loglik",
-    "generate_dataset",
     "log_joint",
     "log_joint_terms",
     "log_poisson_k",
     "propagate_sigma_matrix",
-    "sample_weight_layer",
     "slab_column_logmarginal",
 ]
 
@@ -69,11 +69,16 @@ def as_int(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def as_real(value, name: str) -> float:
+    """``value`` as a float; a bool, string, None or other non-number raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _as_layer_tuple(value, num_layers: int, name: str) -> tuple[float, ...]:
     raw = (value,) * num_layers if np.isscalar(value) else tuple(value)
-    if any(isinstance(v, bool) for v in raw):
-        raise ValueError(f"{name} entries must be real numbers, got {value!r}")
-    out = tuple(float(v) for v in raw)
+    out = tuple(as_real(v, name) for v in raw)
     if len(out) != num_layers:
         raise ValueError(f"{name} must have one entry per layer ({num_layers}), got {len(out)}")
     if not all(0.0 < v < math.inf for v in out):
@@ -86,8 +91,9 @@ class LayerHyper:
     """Flattened hyperparameters for a single layer's inference or sampling.
 
     Every value must be a finite, strictly positive real number (a bool
-    is not one), and ``sigma_floor`` must not exceed ``sigma_top``; a
-    ValueError names the first field that is not.
+    or a string is not one, see ``as_real``), and ``sigma_floor`` must
+    not exceed ``sigma_top``; a ValueError names the first field that
+    is not.
     """
 
     alpha_ibp: float
@@ -98,10 +104,7 @@ class LayerHyper:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                raise ValueError(f"{f.name} must be a real number, got {value!r}")
-            if not 0.0 < value < math.inf:
+            if not 0.0 < as_real(getattr(self, f.name), f.name) < math.inf:
                 raise ValueError(f"{f.name} must be finite and strictly positive")
         if self.sigma_floor > self.sigma_top:
             raise ValueError("sigma_floor must not exceed sigma_top")
@@ -168,73 +171,15 @@ class HyperParams:
         )
 
 
-@dataclass
-class WeightLayer:
-    """One layer's connection mask and real-valued slab weights.
-
-    ``mask`` is binary with rows indexing the child layer (the layer
-    below) and columns indexing this layer's factors.  ``slab`` holds
-    the Gaussian weight values; the effective weight matrix is their
-    elementwise product.
-    """
-
-    mask: np.ndarray
-    slab: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.mask = as_binary_matrix(self.mask)
-        self.slab = np.asarray(self.slab, dtype=float)
-        if self.slab.shape != self.mask.shape:
-            raise ValueError(
-                f"slab shape {self.slab.shape} != mask shape {self.mask.shape}"
-            )
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Effective weights: mask * slab."""
-        return self.mask * self.slab
-
-
-@dataclass
-class GenerativeModel:
-    """A finite truncation of the layered model: hyperparameters plus
-    weight layers ordered top to bottom (the last layer touches the data).
-    """
-
-    hyper: HyperParams
-    layers: list[WeightLayer]
-
-    def __post_init__(self) -> None:
-        if len(self.layers) != self.hyper.num_layers:
-            raise ValueError(
-                f"{len(self.layers)} layers given for {self.hyper.num_layers}-layer hyperparameters"
-            )
-        for upper, lower in zip(self.layers, self.layers[1:]):
-            if upper.mask.shape[0] != lower.mask.shape[1]:
-                raise ValueError(
-                    f"layer shapes do not chain: {upper.mask.shape} above {lower.mask.shape}"
-                )
-        widths = tuple(layer.mask.shape[1] for layer in reversed(self.layers))
-        if widths != self.hyper.layer_widths:
-            raise ValueError(
-                f"layer widths {widths} (bottom-up) do not match hyper.layer_widths {self.hyper.layer_widths}"
-            )
-
-    @classmethod
-    def from_prior(cls, hyper: HyperParams, n_dims: int, rng: np.random.Generator) -> "GenerativeModel":
-        """Draw every weight layer from its finite prior, bottom layer first."""
-        layers_bottom_up = []
-        child = n_dims
-        for i in range(hyper.num_layers):
-            width = hyper.layer_widths[i]
-            layers_bottom_up.append(sample_weight_layer(child, width, hyper.layer(i), rng))
-            child = width
-        return cls(hyper=hyper, layers=list(reversed(layers_bottom_up)))
-
-
 def propagate_sigma_matrix(weights: np.ndarray, factors: np.ndarray, sigma_floor: float) -> np.ndarray:
     """Vectorised variance routing: max(|W @ Y|, sigma_floor), shape (N, T)."""
     return np.maximum(np.abs(weights @ factors), sigma_floor)
+
+
+def draw_routed(weights: np.ndarray, factors: np.ndarray, sigma_floor: float, rng: np.random.Generator) -> np.ndarray:
+    """One draw of the matrix below ``factors``: N(0, sigma^2) entries with ``propagate_sigma_matrix``'s stds."""
+    sigma = propagate_sigma_matrix(weights, factors, sigma_floor)
+    return sigma * rng.standard_normal(sigma.shape)
 
 
 def _prior_columns(
@@ -276,39 +221,27 @@ def _conditioned_columns(
     return mask, slab
 
 
-def sample_weight_layer(n_rows: int, n_cols: int, hyper: LayerHyper, rng: np.random.Generator) -> WeightLayer:
-    """Draw a weight layer from the finite prior under ``hyper``.
+def draw_stack(
+    hyper: HyperParams, n_dims: int, T: int, rng: np.random.Generator
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
+    """One forward draw of the whole finite stack: (weights, values).
 
-    Per column: p ~ Beta(alpha_ibp / n_cols, 1) via inverse CDF,
-    sigma^2 ~ InverseGamma(ig_shape, ig_scale), mask entries
-    Bernoulli(p), slab entries N(0, sigma^2).  The slab is drawn for
-    every entry, masked or not; the effective weight is mask * slab.
-    """
-    mask, slab = _conditioned_columns(n_rows, n_cols, hyper, rng, 0)
-    return WeightLayer(mask=mask, slab=slab)
-
-
-def generate_dataset(model: GenerativeModel, T: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Generate factor matrices for every layer plus the observations.
-
-    The top layer's factors are i.i.d. N(0, sigma_top^2); each layer
-    below draws instance columns independently with variance routed
-    through the layer above.  Weights stay fixed across instances.
-
-    Returns
-    -------
-    list of arrays, top layer first; the last entry is the observed
-    (N, T) data matrix.
+    ``weights[i]`` is layer i+1's (mask, slab), bottom layer first,
+    drawn bottom-up from the unconditioned finite prior (see
+    ``LayerTarget.draw``).  Then the top layer's factors are drawn
+    i.i.d. N(0, sigma_top^2), and each matrix below them top-down
+    through ``draw_routed``; weights stay fixed across instances.
+    ``values[0]`` is the (n_dims, T) data and ``values[i]`` layer i's
+    (K_i, T) factors.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    hp = model.hyper
-    k_top = model.layers[0].mask.shape[1]
-    out = [hp.sigma_top * rng.standard_normal((k_top, T))]
-    for layer in model.layers:
-        sigma = propagate_sigma_matrix(layer.weights, out[-1], hp.sigma_floor)
-        out.append(sigma * rng.standard_normal(sigma.shape))
-    return out
+    rows = (n_dims, *hyper.layer_widths)
+    weights = [_conditioned_columns(rows[i], rows[i + 1], hyper.layer(i), rng, 0) for i in range(hyper.num_layers)]
+    values = [hyper.sigma_top * rng.standard_normal((rows[-1], T))]
+    for mask, slab in reversed(weights):
+        values.append(draw_routed(mask * slab, values[-1], hyper.sigma_floor, rng))
+    return weights, values[::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,8 +298,11 @@ class LayerTarget:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(mask, slab, Y) of one prior draw of an ``n_rows`` x ``n_cols`` layer over T instances.
 
-        The mask and slab are ``sample_weight_layer``'s draws, each
-        column conditioned on linking at least ``min_links`` rows.
+        Per column: p ~ Beta(alpha_ibp / n_cols, 1) via inverse CDF,
+        sigma^2 ~ InverseGamma(ig_shape, ig_scale), mask entries
+        Bernoulli(p), slab entries N(0, sigma^2) (drawn for every entry,
+        masked or not), each column conditioned on linking at least
+        ``min_links`` rows.
         Columns are independent under the finite prior, so redrawing
         only the columns with fewer than ``min_links`` links, until none
         is left, draws from the conditioned prior law.  The (n_cols, T)

@@ -245,8 +245,7 @@ def frozen_kernel_state():
     slab = np.array([[0.4, -0.7], [-1.1, 0.6], [0.0, -0.8], [0.5, 1.2]])
     rng = np.random.default_rng(7)
     Y = rng.standard_normal((2, 10))
-    sigma = np.maximum(np.abs((mask * slab) @ Y), hyper.sigma_floor)
-    X = sigma * rng.standard_normal(sigma.shape)
+    X = model.draw_routed(mask * slab, Y, hyper.sigma_floor, rng)
     return ChainState(X=X, Y=Y, mask=mask, slab=slab, target=model.LayerTarget(hyper))
 
 
@@ -532,8 +531,7 @@ def geweke_moment_zs(
         nonlocal state
         if state is None:
             mask, slab, Y = target.draw(N, K, T, rng)
-            sigma = np.maximum(np.abs((mask * slab) @ Y), target.hyper.sigma_floor)
-            X = sigma * rng.standard_normal((N, T))
+            X = model.draw_routed(mask * slab, Y, target.hyper.sigma_floor, rng)
             state = ChainState(X=X, Y=Y, mask=mask, slab=slab, target=target)
         gibbs_sweep(state, rng)
         resample_data(state, rng)

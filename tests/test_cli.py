@@ -248,9 +248,14 @@ def test_non_finite_hyperparameter_exits_2(tmp_path, capsys, command, key, value
     ("generate", "model", "alpha_ibp_per_layer", True),
     ("infer", "model", "ig_scale_per_layer", [True]),
     ("experiment", "experiment", "burn_in", False),
+    ("generate", "model", "sigma_top", "1.0"),
+    ("generate", "model", "alpha_ibp_per_layer", "2"),
+    ("infer", "model", "ig_shape_per_layer", ["2"]),
+    ("experiment", "experiment", "burn_in", "0.5"),
 ])
 def test_boolean_real_value_exits_2(tmp_path, capsys, command, section, key, value):
-    # JSON true is no real number, although Python's bool compares as one.
+    # JSON true is no real number, although Python's bool compares as one;
+    # nor is a quoted number, although float() would read it.
     cfg = _write_config(tmp_path, {section: {key: value}})
     args = [command, "--config", cfg, "--out", str(tmp_path / "x"), "--seed", "3"]
     if command == "infer":

@@ -147,16 +147,18 @@ def test_sequential_sampler_tiny_alpha_rarely_creates_columns():
 
 def test_finite_law_approaches_process_law_in_left_ordered_form():
     # Large finite truncation vs the sequential process sampler, compared
-    # on left-ordered class histograms.  The finite masks come from the
-    # weight-layer prior draw; its slab hyperparameters leave the mask alone.
+    # on left-ordered class histograms.  The finite masks come from a
+    # layer's prior draw; its slab hyperparameters leave the mask alone.
     rng = np.random.default_rng(9)
     draws = 100_000
     N, alpha, K = 2, 1.0, 64
-    hyper = model.LayerHyper(alpha_ibp=alpha, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-6)
+    target = model.LayerTarget(
+        model.LayerHyper(alpha_ibp=alpha, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0, sigma_floor=1e-6)
+    )
 
     def finite_sampler(N_, alpha_, rng_):
-        # mc_lof_histogram passes back the alpha that ``hyper`` holds.
-        Z = model.sample_weight_layer(N_, K, hyper, rng_).mask
+        # mc_lof_histogram passes back the alpha that ``target`` holds.
+        Z = target.draw(N_, K, 0, rng_)[0]
         return Z[:, Z.any(axis=0)]
 
     finite = mc_lof_histogram(finite_sampler, N, alpha, draws, rng)

@@ -647,8 +647,7 @@ def test_run_layerwise_depth_one_equals_single_layer():
 def test_run_layerwise_two_layers_smoke():
     rng = np.random.default_rng(21)
     hyper = HyperParams(layer_widths=(3, 2))
-    truth = model.GenerativeModel.from_prior(hyper, 8, rng)
-    X = model.generate_dataset(truth, 40, rng)[-1]
+    X = model.draw_stack(hyper, 8, 40, rng)[1][0]
     cfg = InferenceConfig(iterations=6, init_k=2, layerwise_outer_loops=2)
     states, traces = run_layerwise(X, 2, cfg, hyper, 13)
     assert len(states) == 2
@@ -679,8 +678,7 @@ def test_run_layerwise_survives_lower_layer_reaching_k_zero():
     # runs on a (0, T) factor matrix.
     hyper = HyperParams(layer_widths=(5, 3))
     rng = np.random.default_rng(8)
-    truth = model.GenerativeModel.from_prior(hyper, 12, rng)
-    X = model.generate_dataset(truth, 60, rng)[-1]
+    X = model.draw_stack(hyper, 12, 60, rng)[1][0]
     cfg = InferenceConfig(iterations=10, init_k=4, layerwise_outer_loops=3)
     states, traces = run_layerwise(X, 2, cfg, hyper, 4)
     assert [st.K for st in states] == [0, 0]

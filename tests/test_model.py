@@ -9,15 +9,13 @@ from scipy.special import gammaln
 
 from deepibp import ibp, model
 from deepibp.model import (
-    GenerativeModel,
     HyperParams,
     LayerHyper,
     LayerTarget,
-    WeightLayer,
-    generate_dataset,
+    draw_routed,
+    draw_stack,
     log_joint,
     log_joint_terms,
-    sample_weight_layer,
 )
 
 
@@ -61,46 +59,42 @@ def _hyper(alpha_ibp, ig_shape=2.0, ig_scale=1.0, sigma_top=1.0):
                       sigma_top=sigma_top, sigma_floor=1e-6)
 
 
-def test_sample_weight_layer_inclusion_frequency():
+def test_layer_target_draw_inclusion_frequency():
     # With alpha equal to K the inclusion probabilities are Beta(1, 1),
     # so the marginal entry inclusion is 1/2.  Entries within a column
     # share one p draw, so the error budget is dominated by the number
     # of columns: Var(mean) ~ (Var(p) + E[p(1-p)]/N) / K.
     rng = np.random.default_rng(4)
     N, K = 10, 10_000
-    layer = sample_weight_layer(N, K, _hyper(float(K)), rng)
+    mask, _, _ = LayerTarget(_hyper(float(K))).draw(N, K, 0, rng)
     se = math.sqrt((1.0 / 12.0 + (1.0 / 6.0) / N) / K)
-    assert abs(layer.mask.mean() - 0.5) < 3.0 * se
+    assert abs(mask.mean() - 0.5) < 3.0 * se
 
 
-def test_sample_weight_layer_variance_mean():
+def test_layer_target_draw_slab_variance_mean():
     rng = np.random.default_rng(5)
-    layer = sample_weight_layer(20, 50_000, _hyper(1.0), rng)
+    _, slab, _ = LayerTarget(_hyper(1.0)).draw(20, 50_000, 0, rng)
     # A column's slab entries are N(0, sigma^2) with sigma^2 ~
     # InverseGamma(2, 1), whose mean is 1, so each column's slab variance
     # across its rows averages to 1 over the columns.  Heavy tails, so
     # the bound is loose but the seed is fixed.
-    column_variance = (layer.slab ** 2).mean(axis=0)
+    column_variance = (slab ** 2).mean(axis=0)
     assert abs(column_variance.mean() - 1.0) < 0.1
 
 
-def test_sample_weight_layer_records_columns_and_masks_slab():
+def test_layer_target_draw_shapes_and_binary_mask():
     rng = np.random.default_rng(6)
-    layer = sample_weight_layer(5, 3, _hyper(2.0), rng)
-    assert layer.mask.shape == (5, 3)
-    assert set(np.unique(layer.mask)) <= {0, 1}
-    np.testing.assert_array_equal(layer.weights, layer.mask * layer.slab)
+    mask, slab, Y = LayerTarget(_hyper(2.0)).draw(5, 3, 0, rng)
+    assert mask.shape == slab.shape == (5, 3)
+    assert mask.dtype == np.int8
+    assert set(np.unique(mask)) <= {0, 1}
+    assert Y.shape == (3, 0)
 
 
-def test_sample_weight_layer_zero_columns():
+def test_layer_target_draw_zero_columns():
     rng = np.random.default_rng(7)
-    layer = sample_weight_layer(4, 0, _hyper(1.0), rng)
-    assert layer.mask.shape == (4, 0)
-
-
-def test_weight_layer_validates_shapes():
-    with pytest.raises(ValueError):
-        WeightLayer(mask=np.zeros((2, 2), dtype=np.int8), slab=np.zeros((2, 3)))
+    mask, slab, _ = LayerTarget(_hyper(1.0)).draw(4, 0, 0, rng)
+    assert mask.shape == slab.shape == (4, 0)
 
 
 # -- hyperparameters -------------------------------------------------------
@@ -161,44 +155,49 @@ def test_chain_with_a_nan_top_scale_fails_on_the_field():
         )), rng=np.random.default_rng(1))
 
 
-def test_generative_model_shape_chaining():
-    hp = HyperParams(layer_widths=(3, 2))
-    rng = np.random.default_rng(8)
-    gm = GenerativeModel.from_prior(hp, 6, rng)
-    # Top layer connects 3 child factors to 2 parent factors.
-    assert gm.layers[0].mask.shape == (3, 2)
-    assert gm.layers[1].mask.shape == (6, 3)
-    with pytest.raises(ValueError):
-        GenerativeModel(hyper=hp, layers=[gm.layers[1], gm.layers[0]])
-
-
 # -- forward generation ----------------------------------------------------
 
-def test_generate_dataset_shapes_and_determinism():
+def test_draw_stack_shapes_and_determinism():
     hp = HyperParams(layer_widths=(3,))
-    gm = GenerativeModel.from_prior(hp, 16, np.random.default_rng(9))
-    a = generate_dataset(gm, 200, np.random.default_rng(42))
-    b = generate_dataset(gm, 200, np.random.default_rng(42))
-    assert a[-1].shape == (16, 200)
-    assert a[0].shape == (3, 200)
-    for x, y in zip(a, b):
+    a_weights, a = draw_stack(hp, 16, 200, np.random.default_rng(42))
+    b_weights, b = draw_stack(hp, 16, 200, np.random.default_rng(42))
+    assert [m.shape for m in a] == [(16, 200), (3, 200)]
+    assert [(mask.shape, slab.shape) for mask, slab in a_weights] == [((16, 3), (16, 3))]
+    for x, y in zip(a + [*a_weights[0]], b + [*b_weights[0]]):
         np.testing.assert_array_equal(x, y)
 
 
-def test_generate_dataset_no_factors_floors_everything():
+def test_draw_stack_is_each_layer_targets_columns_then_routed_values():
+    hp = HyperParams(alpha_ibp_per_layer=(3.0, 2.0, 1.5), layer_widths=(6, 3, 2))
+    weights, values = draw_stack(hp, 8, 5, np.random.default_rng(3))
+    assert [m.shape for m in values] == [(8, 5), (6, 5), (3, 5), (2, 5)]
+    # The columns come first, bottom layer first, each as its layer's
+    # target draws them; then the top factors and each matrix below.
+    rng = np.random.default_rng(3)
+    rows = (8, 6, 3, 2)
+    for i, (mask, slab) in enumerate(weights):
+        ref_mask, ref_slab, _ = LayerTarget(hp.layer(i)).draw(rows[i], rows[i + 1], 0, rng)
+        np.testing.assert_array_equal(mask, ref_mask)
+        np.testing.assert_array_equal(slab, ref_slab)
+    np.testing.assert_array_equal(values[3], hp.sigma_top * rng.standard_normal((2, 5)))
+    for i in (2, 1, 0):
+        mask, slab = weights[i]
+        np.testing.assert_array_equal(values[i], draw_routed(mask * slab, values[i + 1], hp.sigma_floor, rng))
+
+
+def test_draw_stack_no_factors_floors_everything():
     hp = HyperParams(layer_widths=(0,))
-    gm = GenerativeModel.from_prior(hp, 5, np.random.default_rng(10))
-    X = generate_dataset(gm, 50, np.random.default_rng(11))[-1]
+    X = draw_stack(hp, 5, 50, np.random.default_rng(10))[1][0]
     assert np.abs(X).max() < 1e-4
 
 
-def test_generate_dataset_empty_instances():
+def test_draw_stack_empty_instances():
     hp = HyperParams(layer_widths=(2,))
-    gm = GenerativeModel.from_prior(hp, 4, np.random.default_rng(12))
-    mats = generate_dataset(gm, 0, np.random.default_rng(13))
-    assert all(m.shape[1] == 0 for m in mats)
-    with pytest.raises(ValueError):
-        generate_dataset(gm, -1, np.random.default_rng(13))
+    weights, values = draw_stack(hp, 4, 0, np.random.default_rng(12))
+    assert weights[0][0].shape == (4, 2)
+    assert all(m.shape[1] == 0 for m in values)
+    with pytest.raises(ValueError, match="T must be >= 0"):
+        draw_stack(hp, 4, -1, np.random.default_rng(13))
 
 
 def test_generated_second_moment_matches_routed_variance():
@@ -206,9 +205,9 @@ def test_generated_second_moment_matches_routed_variance():
     # the routed sigma, so the pooled standardised square has mean 1.
     rng = np.random.default_rng(14)
     hp = HyperParams(layer_widths=(3,))
-    gm = GenerativeModel.from_prior(hp, 6, rng)
+    mask, slab, _ = LayerTarget(hp.layer(0)).draw(6, 3, 0, rng)
     Y = hp.sigma_top * rng.standard_normal((3, 40))
-    sigma = model.propagate_sigma_matrix(gm.layers[0].weights, Y, hp.sigma_floor)
+    sigma = model.propagate_sigma_matrix(mask * slab, Y, hp.sigma_floor)
     reps = 400
     zsq = np.empty((reps,) + sigma.shape)
     for r in range(reps):
@@ -270,21 +269,19 @@ def test_log_joint_no_factor_state_uses_floor_likelihood():
 
 
 def test_log_joint_likelihood_scales_with_instances():
-    rng = np.random.default_rng(17)
     hp = HyperParams(layer_widths=(3,))
-    gm = GenerativeModel.from_prior(hp, 6, rng)
-    short = generate_dataset(gm, 2000, np.random.default_rng(18))
-    long = generate_dataset(gm, 4000, np.random.default_rng(19))
+    # The weights are drawn before any instance, so one seed gives both
+    # datasets the same weights.
+    (weights,), short = draw_stack(hp, 6, 2000, np.random.default_rng(17))
+    (long_weights,), long = draw_stack(hp, 6, 4000, np.random.default_rng(17))
+    np.testing.assert_array_equal(weights[1], long_weights[1])
 
     from deepibp.inference import ChainState
 
     lh = hp.layer(0)
 
     def lik(mats):
-        st = ChainState(
-            X=mats[-1], Y=mats[0], mask=gm.layers[0].mask, slab=gm.layers[0].slab,
-            target=LayerTarget(lh),
-        )
+        st = ChainState(X=mats[0], Y=mats[1], mask=weights[0], slab=weights[1], target=LayerTarget(lh))
         return log_joint_terms(st).log_lik
 
     ratio = lik(long) / lik(short)
@@ -454,12 +451,8 @@ def test_layer_target_draw_refuses_an_undrawable_condition():
 def test_layer_target_draw_is_the_weight_layer_then_its_factors():
     rng = np.random.default_rng(25)
     target = LayerTarget(_hyper(3.0, sigma_top=1.5), rng.standard_normal((2, 3)), rng.standard_normal((3, 7)))
-    # Unconditioned, the columns are the prior weight layer's.
-    mask, slab, _ = target.draw(6, 4, 7, np.random.default_rng(0))
-    layer = sample_weight_layer(6, 4, target.hyper, np.random.default_rng(0))
-    np.testing.assert_array_equal(mask, layer.mask)
-    np.testing.assert_array_equal(slab, layer.slab)
-    # The factors are drawn after the columns and all their redraws.
+    # The columns are those of a draw over no instances, and the factors
+    # are drawn after the columns and all their redraws.
     for min_links in (0, 1, 2):
         mask, slab, Y = target.draw(6, 4, 7, np.random.default_rng(min_links), min_links=min_links)
         ref_rng = np.random.default_rng(min_links)

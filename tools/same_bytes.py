@@ -8,6 +8,8 @@ fixed-seed command set on that tree and on the working tree:
 
 - ``generate`` with layer widths [6, 3] at 16 x 200, seeds 3 and 8;
 - ``infer --depth 1, 2, 3`` on each of those datasets;
+- ``generate`` with layer widths [6, 3, 2] at 16 x 200, seed 3, so the
+  forward draw is checked over three layers;
 - ``experiment`` with K_true 3 and 8, 2 replicates and 20 iterations,
   seeds 17 and 23;
 - ``validate`` (its printed report);
@@ -43,6 +45,8 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 GENERATE = {"model": {"layer_widths": [6, 3]}, "experiment": {"n_dims": 16, "n_instances": 200}}
+DEEP_GENERATE = {"model": {"layer_widths": [6, 3, 2]}, "experiment": {"n_dims": 16, "n_instances": 200}}
+DEEP_SEED = 3
 EXPERIMENT = {
     "experiment": {"n_dims": 16, "n_instances": 200, "k_true_values": [3, 8], "replicates": 2, "iterations": 20}
 }
@@ -66,6 +70,7 @@ def commands(configs: Path, demos: Path) -> list[tuple[list[str], str | None]]:
     ``demos`` is the demo directory of the tree being run.
     """
     gen, study = str(configs / "generate.json"), str(configs / "experiment.json")
+    deep = str(configs / "deep_generate.json")
     cli = ["-m", "deepibp.cli"]
     out: list[tuple[list[str], str | None]] = []
     for seed in DATA_SEEDS:
@@ -74,6 +79,7 @@ def commands(configs: Path, demos: Path) -> list[tuple[list[str], str | None]]:
         for depth in DEPTHS:
             out.append(([*cli, "infer", f"{data}/data.csv", "--config", gen, "--out", f"{data}/depth{depth}",
                          "--seed", str(seed), "--depth", str(depth)], None))
+    out.append(([*cli, "generate", "--config", deep, "--out", f"deep{DEEP_SEED}", "--seed", str(DEEP_SEED)], None))
     for seed in STUDY_SEEDS:
         out.append(([*cli, "experiment", "--config", study, "--out", f"study{seed}", "--seed", str(seed)], None))
     out.append(([*cli, "validate"], "validate.txt"))
@@ -140,6 +146,7 @@ def main(argv=None) -> int:
         configs = tmp / "configs"
         configs.mkdir()
         (configs / "generate.json").write_text(json.dumps(GENERATE), encoding="utf-8")
+        (configs / "deep_generate.json").write_text(json.dumps(DEEP_GENERATE), encoding="utf-8")
         (configs / "experiment.json").write_text(json.dumps(EXPERIMENT), encoding="utf-8")
         runs = {"old": (old_tree / "src", tmp / "old"), "new": (ROOT / "src", tmp / "new")}
         with ThreadPoolExecutor(max_workers=2) as pool:
