@@ -29,7 +29,6 @@ from .model import (
     draw_routed,
     draw_stack,
     log_joint,
-    log_joint_terms,
 )
 from .inference import (
     ChainState,
@@ -75,7 +74,6 @@ __all__ = [
     "harmonic_number",
     "left_order_form",
     "log_joint",
-    "log_joint_terms",
     "log_ratio_add",
     "log_ratio_delete",
     "logprob_mask_ibp",

@@ -111,7 +111,8 @@ def _parse_init(entry) -> int | tuple:
 def build_experiment(config: dict, seed: int, layer_hyper: LayerHyper) -> ExperimentConfig:
     section = dict(config.get("experiment", {}))
     try:
-        if "inits" in section:
+        # ExperimentConfig refuses an inits value that is not a list.
+        if isinstance(section.get("inits"), list):
             section["inits"] = tuple(_parse_init(e) for e in section["inits"])
         return ExperimentConfig(base_seed=seed, layer_hyper=layer_hyper, **section)
     except (TypeError, ValueError) as exc:

@@ -75,14 +75,13 @@ class ExperimentConfig:
             raise ValueError("n_instances must be >= 1")
         if as_int(self.replicates, "replicates") < 1:
             raise ValueError("replicates must be >= 1")
-        if not self.k_true_values:
-            raise ValueError("k_true_values must be nonempty")
+        for name in ("k_true_values", "inits"):
+            if not isinstance(value := getattr(self, name), (list, tuple)) or not value:
+                raise ValueError(f"{name} must be a nonempty list, got {value!r}")
         if not 0.0 <= as_real(self.burn_in, "burn_in") < 1.0:
             raise ValueError("burn_in must lie in [0, 1)")
         if as_int(self.iterations, "iterations") < 1:
             raise ValueError("iterations must be >= 1")
-        if not self.inits:
-            raise ValueError("at least one init strategy is required")
         object.__setattr__(self, "k_true_values", tuple(as_int(k, "k_true_values") for k in self.k_true_values))
         if min(self.k_true_values) < 0:
             raise ValueError("k_true_values must be >= 0")

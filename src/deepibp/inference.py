@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .ibp import as_binary_matrix, harmonic_number, logprob_mask_marginal_counts
+from .ibp import as_binary_matrix
 from .model import LayerTarget
 
 __all__ = [
@@ -145,8 +145,8 @@ class ChainState:
     slab @ Y, ``m`` the per-column link counts and ``sigma_y`` the
     factor-prior stds.  Those three are the only caches; no cache holds
     the log-joint, which ``model.log_joint`` prices on demand.  Every
-    kernel reads its hyperparameters from ``target.hyper``, the same
-    values the log-joint is priced with.
+    kernel asks ``target`` for the prior terms it needs, the same law
+    the log-joint is priced with.
     """
 
     X: np.ndarray
@@ -159,7 +159,7 @@ class ChainState:
     S: np.ndarray = field(init=False)
     sigma_y: np.ndarray = field(init=False)
     # One-slot memo of log_ratio_add: (key, ratio), keyed by what it reads.
-    _add_ratio_memo: tuple[tuple[bytes, int, float], float] | None = field(
+    _add_ratio_memo: tuple[tuple[bytes, int, LayerTarget], float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -254,44 +254,20 @@ class ChainState:
 
 # -- dimension moves ----------------------------------------------------
 
-def _log_ratio_from_small(m_small: np.ndarray, k_plus_small: int, N: int, alpha: float) -> float:
-    """Interior log-ratio of the add move evaluated on the smaller state.
-
-    Three exact pieces: the proposal structure factor
-    log[(1/(K+1)) / (K+/K)], the mask-marginal difference for appending
-    an all-zero column (every column re-priced at alpha/(K+1)), and the
-    Poisson factor-count ratio log[rate/(K+1)].  The new factor's value
-    terms cancel between proposal and target and never appear.  When no
-    factor is linked (K+ = 0, which includes K = 0) the reverse factor
-    K+/K is replaced by 1, letting the chain leave the empty state.
-    """
-    K = len(m_small)
-    structure = -math.log(K + 1.0)
-    if k_plus_small:
-        structure -= math.log(k_plus_small / K)
-    m_large = np.append(m_small, 0)
-    delta_mask = logprob_mask_marginal_counts(m_large, N, alpha) - logprob_mask_marginal_counts(
-        m_small, N, alpha
-    )
-    rate = alpha * harmonic_number(N)
-    delta_k = math.log(rate) - math.log(K + 1.0)
-    return structure + delta_mask + delta_k
-
-
 def log_ratio_add(state: ChainState) -> float:
-    """Unclamped interior log-ratio for adding one empty factor.
+    """Unclamped interior log-ratio for adding one empty factor; see ``LayerTarget.log_add_ratio``.
 
-    The ratio depends only on the link counts, N and alpha, and the link
-    counts seldom change between the dimension moves of one pass, so the
-    chain keeps the last value under those inputs and reuses it while
-    they match.
+    The ratio depends only on the link counts, N and the target, and the
+    link counts seldom change between the dimension moves of one pass,
+    so the chain keeps the last value under those inputs and reuses it
+    while they match.  Targets compare by identity, so a rebound chain
+    prices afresh.
     """
-    alpha = state.target.hyper.alpha_ibp
-    key = (state.m.tobytes(), state.N, alpha)
+    key = (state.m.tobytes(), state.N, state.target)
     memo = state._add_ratio_memo
     if memo is not None and memo[0] == key:
         return memo[1]
-    log_r = _log_ratio_from_small(state.m, state.K_plus, state.N, alpha)
+    log_r = state.target.log_add_ratio(state.m, state.N)
     state._add_ratio_memo = (key, log_r)
     return log_r
 
@@ -306,10 +282,7 @@ def log_ratio_delete(state: ChainState, k: int) -> float:
         raise IndexError(f"factor index {k} out of range")
     if state.m[k] != 0:
         raise ValueError(f"factor {k} has {state.m[k]} links; only unlinked factors can be deleted")
-    m_small = np.delete(state.m, k)
-    return -_log_ratio_from_small(
-        m_small, int(np.count_nonzero(m_small)), state.N, state.target.hyper.alpha_ibp
-    )
+    return -state.target.log_add_ratio(np.delete(state.m, k), state.N)
 
 
 def _resize(state: ChainState, keep: np.ndarray, n_new: int = 0) -> None:
@@ -458,15 +431,13 @@ def gibbs_update_weight(state: ChainState, n: int, k: int, rng: np.random.Genera
     log-likelihoods at w = 0 and w_cur; the grid is built only when that
     bound lets the toggle through, and the decision is the same.
     """
-    lh = state.target.hyper
     active = bool(state.mask[n, k])
     m_minus = int(state.m[k]) - active
-    spike_p, slab_p = model.spike_slab_predictive(m_minus, state.N, lh.alpha_ibp / state.K)
     # The slab is zero off the mask, so this is the column's squared-slab sum.
     col = state.slab[:, k]
     w_cur = float(state.slab[n, k])
     sq_minus = float(col @ col) - w_cur * w_cur
-    df, t_scale = model.slab_predictive_params(m_minus, sq_minus, lh.ig_shape, lh.ig_scale)
+    spike_p, slab_p, df, t_scale = state.target.entry_prior(m_minus, state.N, state.K, sq_minus)
     t_norm, t_power, grid_kernel = _t_grid_terms(df)
     t_norm -= math.log(t_scale)
 
@@ -477,7 +448,7 @@ def gibbs_update_weight(state: ChainState, n: int, k: int, rng: np.random.Genera
     x_row = state.X[n]
     y_row = state.Y[k]
     base_row = state.S[n] - w_cur * y_row
-    floor = lh.sigma_floor
+    floor = state.target.hyper.sigma_floor
     half = _TOGGLE_SPAN * t_scale
     h = 2.0 * half / _TOGGLE_CELLS
     # The row without entry k is the row at w = 0; on a birth it is S[n].
@@ -785,7 +756,7 @@ def _layerwise_total(states: list[ChainState]) -> float:
     """
     total = 0.0
     for st in states:
-        terms = model.log_joint_terms(st)
+        terms = st.target.log_joint_terms(st)
         total += terms.log_lik + terms.log_mask_prior + terms.log_slab_prior + terms.log_k_prior
     return total + terms.log_y_prior
 

@@ -11,6 +11,8 @@ factors are N(0, sigma_top^2).
 The log-joint for one layer decomposes as data likelihood + factor
 prior + weight prior (mask marginal times slab marginal) + a Poisson
 prior on the number of factors; each term is exposed separately.
+``LayerTarget`` is the one place that prices this law: the log-joint,
+one weight's prior predictive and the add/delete ratios.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ibp import harmonic_number, logprob_mask_marginal
+from .ibp import harmonic_number, logprob_mask_marginal, logprob_mask_marginal_counts
 
 __all__ = [
     "FactorMatrix",
@@ -37,7 +39,6 @@ __all__ = [
     "draw_stack",
     "gaussian_loglik",
     "log_joint",
-    "log_joint_terms",
     "log_poisson_k",
     "propagate_sigma_matrix",
     "slab_column_logmarginal",
@@ -77,7 +78,7 @@ def as_real(value, name: str) -> float:
 
 
 def _as_layer_tuple(value, num_layers: int, name: str) -> tuple[float, ...]:
-    raw = (value,) * num_layers if np.isscalar(value) else tuple(value)
+    raw = tuple(value) if isinstance(value, (list, tuple)) else (value,) * num_layers
     out = tuple(as_real(v, name) for v in raw)
     if len(out) != num_layers:
         raise ValueError(f"{name} must have one entry per layer ({num_layers}), got {len(out)}")
@@ -311,6 +312,73 @@ class LayerTarget:
         mask, slab = _conditioned_columns(n_rows, n_cols, self.hyper, rng, min_links)
         return mask, slab, self.factor_sigma(n_cols, T) * rng.standard_normal((n_cols, T))
 
+    def _k_rate(self, N: int) -> float:
+        """Poisson rate alpha' H_N of the factor count over N data rows."""
+        return self.hyper.alpha_ibp * harmonic_number(N)
+
+    def log_joint_terms(self, state) -> JointTerms:
+        """The four components of ``state``'s single-layer log-joint under this target.
+
+        ``state`` is a ChainState, priced from its data ``X``, factors
+        ``Y``, ``mask`` and ``slab`` and from the caches its
+        ``refresh()`` derives: ``S`` (slab @ Y) for the data scales,
+        ``sigma_y`` for the factor prior and ``m`` for the link counts.
+        The slab is zero off the mask, so its squares are the active ones.
+
+        The weight prior marginalizes both the per-column inclusion
+        probabilities (Beta-Bernoulli mask marginal) and the per-column
+        slab variances (Student-t mass over the active slab values); the
+        factor count follows Poisson(alpha' H_N).
+        """
+        lh = self.hyper
+        N, K = state.mask.shape
+        sq = state.slab ** 2
+        log_slab_prior = sum(
+            slab_column_logmarginal(float(sq[:, k].sum()), int(state.m[k]), lh.ig_shape, lh.ig_scale)
+            for k in range(K)
+        )
+        return JointTerms(
+            log_lik=gaussian_loglik(state.X, np.maximum(np.abs(state.S), lh.sigma_floor)),
+            log_y_prior=float(gaussian_loglik(state.Y, state.sigma_y) if K else 0.0),
+            log_mask_prior=logprob_mask_marginal(state.mask, lh.alpha_ibp),
+            log_slab_prior=float(log_slab_prior),
+            log_k_prior=log_poisson_k(K, self._k_rate(N)),
+        )
+
+    def log_add_ratio(self, m: np.ndarray, N: int) -> float:
+        """Interior log-ratio of adding one empty factor to a layer with link counts ``m`` over N rows.
+
+        Three exact pieces: the proposal structure factor
+        log[(1/(K+1)) / (K+/K)], the mask-marginal difference for appending
+        an all-zero column (every column re-priced at alpha/(K+1)), and the
+        Poisson factor-count ratio log[rate/(K+1)].  The new factor's value
+        terms cancel between proposal and target and never appear.  When no
+        factor is linked (K+ = 0, which includes K = 0) the reverse factor
+        K+/K is replaced by 1, letting the chain leave the empty state.
+        """
+        alpha = self.hyper.alpha_ibp
+        K = len(m)
+        k_plus = int(np.count_nonzero(m))
+        structure = -math.log(K + 1.0)
+        if k_plus:
+            structure -= math.log(k_plus / K)
+        m_large = np.append(m, 0)
+        delta_mask = logprob_mask_marginal_counts(m_large, N, alpha) - logprob_mask_marginal_counts(m, N, alpha)
+        delta_k = math.log(self._k_rate(N)) - math.log(K + 1.0)
+        return structure + delta_mask + delta_k
+
+    def entry_prior(self, m_minus: int, N: int, K: int, sq_minus: float) -> tuple[float, float, float, float]:
+        """Prior predictive of one weight entry of a K-column layer over N rows.
+
+        Given the entry's column has ``m_minus`` other active entries with
+        squared sum ``sq_minus``: returns (P(spike), P(slab)) from
+        ``spike_slab_predictive`` at alpha/K and the slab's Student-t
+        (df, scale) from ``slab_predictive_params``.
+        """
+        lh = self.hyper
+        spike_p, slab_p = spike_slab_predictive(m_minus, N, lh.alpha_ibp / K)
+        return (spike_p, slab_p, *slab_predictive_params(m_minus, sq_minus, lh.ig_shape, lh.ig_scale))
+
 
 def gaussian_loglik(X: np.ndarray, sigma) -> float:
     """Sum of centred normal log-densities with per-entry stds."""
@@ -431,40 +499,6 @@ class JointTerms:
         )
 
 
-def log_joint_terms(state) -> JointTerms:
-    """Evaluate the four components of the single-layer log-joint.
-
-    ``state`` is a ChainState, priced under its ``target.hyper`` from its
-    data ``X``, factors ``Y``, ``mask`` and ``slab`` and from the caches
-    its ``refresh()`` derives: ``S`` (slab @ Y) for the data scales,
-    ``sigma_y`` for the factor prior and ``m`` for the link counts.
-    The slab is zero off the mask, so its squares are the active ones.
-
-    The weight prior marginalizes both the per-column inclusion
-    probabilities (Beta-Bernoulli mask marginal) and the per-column
-    slab variances (Student-t mass over the active slab values); the
-    factor count follows Poisson(alpha' H_N).
-    """
-    lh = state.target.hyper
-    N, K = state.mask.shape
-    log_lik = gaussian_loglik(state.X, np.maximum(np.abs(state.S), lh.sigma_floor))
-    log_y_prior = gaussian_loglik(state.Y, state.sigma_y) if K else 0.0
-    log_mask_prior = logprob_mask_marginal(state.mask, lh.alpha_ibp)
-    sq = state.slab ** 2
-    log_slab_prior = sum(
-        slab_column_logmarginal(float(sq[:, k].sum()), int(state.m[k]), lh.ig_shape, lh.ig_scale)
-        for k in range(K)
-    )
-    rate = lh.alpha_ibp * harmonic_number(N)
-    return JointTerms(
-        log_lik=log_lik,
-        log_y_prior=float(log_y_prior),
-        log_mask_prior=log_mask_prior,
-        log_slab_prior=float(log_slab_prior),
-        log_k_prior=log_poisson_k(K, rate),
-    )
-
-
 def log_joint(state) -> float:
-    """Total single-layer log-joint; see ``log_joint_terms``."""
-    return log_joint_terms(state).total
+    """Total single-layer log-joint; see ``LayerTarget.log_joint_terms``."""
+    return state.target.log_joint_terms(state).total

@@ -320,21 +320,18 @@ def weight_kernel_tv(kept: int = 100_000, thin: int = 5, seed: int = 2024) -> fl
     from .inference import gibbs_update_weight
 
     state = frozen_kernel_state()
-    hyper = state.target.hyper
     n0, k0 = 0, 0
     m_minus = int(state.m[k0]) - int(state.mask[n0, k0])
-    a = hyper.alpha_ibp / state.K
-    spike_p, slab_p = model.spike_slab_predictive(m_minus, state.N, a)
     active = state.mask[:, k0].astype(bool)
     sq_minus = float(np.sum(state.slab[active, k0] ** 2)) - float(state.slab[n0, k0]) ** 2
-    df, t_scale = model.slab_predictive_params(m_minus, sq_minus, hyper.ig_shape, hyper.ig_scale)
+    spike_p, slab_p, df, t_scale = state.target.entry_prior(m_minus, state.N, state.K, sq_minus)
     base_row = state.S[n0] - state.slab[n0, k0] * state.Y[k0]
     x_row = state.X[n0].copy()
     y_row = state.Y[k0].copy()
 
     def loglik(w):
         s = np.maximum(np.abs(base_row[None, :] + np.atleast_1d(w)[:, None] * y_row[None, :]),
-                       hyper.sigma_floor)
+                       state.target.hyper.sigma_floor)
         z = x_row[None, :] / s
         return -0.5 * x_row.size * model.LOG_2PI - np.log(s).sum(axis=1) - 0.5 * (z * z).sum(axis=1)
 

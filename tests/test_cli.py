@@ -268,6 +268,27 @@ def test_boolean_real_value_exits_2(tmp_path, capsys, command, section, key, val
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("experiment", "experiment", "k_true_values", 3),
+    ("experiment", "experiment", "inits", 5),
+    ("experiment", "experiment", "inits", {"kind": "fixed", "value": 2}),
+    ("generate", "model", "alpha_ibp_per_layer", None),
+    ("infer", "model", "ig_scale_per_layer", None),
+])
+def test_non_list_value_exits_2(tmp_path, capsys, command, section, key, value):
+    # A list-valued key given something else is refused by name, not
+    # iterated: an int or None raised a TypeError naming no key, and a
+    # dict gave up its keys as entries.
+    cfg = _write_config(tmp_path, {section: {key: value}})
+    args = [command, "--config", cfg, "--out", str(tmp_path / "x"), "--seed", "3"]
+    if command == "infer":
+        args.insert(1, _generated_data(tmp_path))
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad '{section}' section: {key} ")
+    assert not (tmp_path / "x").exists()
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     data = _generated_data(tmp_path)
     cfg = _write_config(tmp_path, {"inference": {"iterations": -3}}, name="neg.json")

@@ -22,7 +22,7 @@ from deepibp.inference import (
     run_layerwise,
     run_mh_layer,
 )
-from deepibp.inference import _log_ratio_from_small, _loglik, _resize, _same_shape_close
+from deepibp.inference import _loglik, _resize, _same_shape_close
 from deepibp.model import HyperParams, LayerHyper, LayerTarget
 
 
@@ -392,7 +392,8 @@ def test_delete_under_context_prices_moved_rows_by_position():
 
 def test_add_ratio_memo_follows_link_counts():
     # log_ratio_add reuses its last value while the link counts match;
-    # every way the counts change must give the freshly computed ratio.
+    # every way the counts or the target change must give the freshly
+    # computed ratio.
     rng = np.random.default_rng(21)
     N, T = 4, 6
     state = ChainState(
@@ -402,7 +403,7 @@ def test_add_ratio_memo_follows_link_counts():
     )
 
     def check():
-        fresh = _log_ratio_from_small(state.m.copy(), state.K_plus, state.N, HYPER.alpha_ibp)
+        fresh = state.target.log_add_ratio(state.m.copy(), state.N)
         assert log_ratio_add(state) == fresh
         assert log_ratio_add(state) == fresh  # the memoised value
 
@@ -431,6 +432,13 @@ def test_add_ratio_memo_follows_link_counts():
     check()
     _delete_column(state, state.K - 1)
     check()
+    # The memo is keyed on the target: a chain rebound under another
+    # alpha, with the same link counts, must not reuse the old ratio.
+    before = log_ratio_add(state)
+    state.rebind(state.X, LayerTarget(LayerHyper(alpha_ibp=0.5, ig_shape=2.0, ig_scale=1.0,
+                                                 sigma_top=1.0, sigma_floor=1e-6)))
+    check()
+    assert log_ratio_add(state) != before
 
 
 # -- likelihood helper -------------------------------------------------------

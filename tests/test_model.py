@@ -15,7 +15,6 @@ from deepibp.model import (
     draw_routed,
     draw_stack,
     log_joint,
-    log_joint_terms,
 )
 
 
@@ -235,7 +234,7 @@ def _random_state_like(rng, N=5, K=3, T=8):
 def test_log_joint_terms_sum_to_total():
     rng = np.random.default_rng(15)
     state, hyper = _random_state_like(rng)
-    terms = log_joint_terms(state)
+    terms = state.target.log_joint_terms(state)
     parts = (
         terms.log_lik
         + terms.log_y_prior
@@ -260,7 +259,7 @@ def test_log_joint_no_factor_state_uses_floor_likelihood():
         slab=np.zeros((3, 0)),
         target=LayerTarget(hyper),
     )
-    terms = log_joint_terms(state)
+    terms = state.target.log_joint_terms(state)
     expect = float(stats.norm.logpdf(X, scale=1e-6).sum())
     assert abs(terms.log_lik - expect) < 1e-8
     assert terms.log_y_prior == 0.0
@@ -282,7 +281,7 @@ def test_log_joint_likelihood_scales_with_instances():
 
     def lik(mats):
         st = ChainState(X=mats[0], Y=mats[1], mask=weights[0], slab=weights[1], target=LayerTarget(lh))
-        return log_joint_terms(st).log_lik
+        return st.target.log_joint_terms(st).log_lik
 
     ratio = lik(long) / lik(short)
     assert abs(ratio - 2.0) < 0.1

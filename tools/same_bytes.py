@@ -18,6 +18,12 @@ fixed-seed command set on that tree and on the working tree:
   draws, 400 sweeps, burn-in 40, 8 batches and seed 404, since
   ``validate`` rounds its errors to 4 digits and no CLI file holds a
   Geweke draw;
+- ``ratios.txt``: the ``repr`` of ``log_ratio_add``, of
+  ``log_ratio_delete`` for every unlinked column and of
+  ``model.log_joint`` on 20 seeded states, half of them under an upper
+  layer, before and after one ``gibbs_sweep``, since a drift of one ulp
+  in a dimension-move ratio seldom flips an accept and so changes no
+  other file;
 - the printed output of each fixed-seed demo in ``demos/`` that prints
   no timings (``recovery_study_mini`` prints wall times).  Each tree
   runs its own copy of the demos.
@@ -63,6 +69,27 @@ ORACLE = (
     "    print(f'geweke {name}: {z!r}')\n"
 )
 
+RATIOS = """\
+import numpy as np
+from deepibp import model
+from deepibp.inference import ChainState, gibbs_sweep, log_ratio_add, log_ratio_delete
+for seed in range(20):
+    rng = np.random.default_rng([505, seed])
+    N, K, T = 3 + seed % 5, seed % 6, 7
+    hyper = model.LayerHyper(alpha_ibp=(0.5, 2.0, 5.0)[seed % 3], ig_shape=2.0, ig_scale=1.0,
+                             sigma_top=1.0, sigma_floor=1e-3)
+    upper = (rng.standard_normal((K, 2)), rng.standard_normal((2, T))) if seed % 2 else ()
+    mask = (rng.random((N, K)) < 0.5 * rng.integers(0, 2, K)).astype(np.int8)  # about half unlinked
+    state = ChainState(X=rng.standard_normal((N, T)), Y=rng.standard_normal((K, T)), mask=mask,
+                       slab=rng.standard_normal((N, K)), target=model.LayerTarget(hyper, *upper))
+    for when in ("drawn", "swept"):
+        print(seed, when, "add", repr(log_ratio_add(state)))
+        for k in np.flatnonzero(state.m == 0).tolist():
+            print(seed, when, "delete", k, repr(log_ratio_delete(state, k)))
+        print(seed, when, "log_joint", repr(model.log_joint(state)))
+        gibbs_sweep(state, rng)
+"""
+
 
 def commands(configs: Path, demos: Path) -> list[tuple[list[str], str | None]]:
     """Each Python call as (arguments, file for its stdout or None), in run order.
@@ -84,6 +111,7 @@ def commands(configs: Path, demos: Path) -> list[tuple[list[str], str | None]]:
         out.append(([*cli, "experiment", "--config", study, "--out", f"study{seed}", "--seed", str(seed)], None))
     out.append(([*cli, "validate"], "validate.txt"))
     out.append((["-c", ORACLE], "oracle.txt"))
+    out.append((["-c", RATIOS], "ratios.txt"))
     for name in DEMOS:
         out.append(([str(demos / f"{name}.py")], f"{name}.txt"))
     return out
